@@ -37,6 +37,7 @@ from .model import (
     Dag,
     Evidence,
     Factor,
+    InvariantError,
     ModelError,
     Scm,
     Variable,

@@ -15,7 +15,7 @@ from .bench import SuiteConfig, find_order_tightness, find_treewidth_tightness, 
 from .elimination import EliminationOrder, eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
 from .inference import CounterfactualQuery, counterfactual
 from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
-from .model import Evidence, ModelError, load_network, network_to_dict, validate
+from .model import Evidence, InvariantError, ModelError, load_network, network_to_dict, validate
 from .randgen import Rng, gen_rnet, gen_rnet2, parameterize, to_rscm
 from .thinning import replicate, thin, thinned_twin_separators
 from .worlds import moral_graph, mutilate, n_world_network, twin_network
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except (ModelError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except AssertionError as e:
+    except InvariantError as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 2
     return rc or 0

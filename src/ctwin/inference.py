@@ -13,7 +13,7 @@ import numpy as np
 
 from .elimination import EliminationOrder, eliminate, minfill_order, n_world_order, twin_order
 from .jointree import Jointree, SeparatorAssignment, classical_separators, edge_key, jointree_from_order, make_twin_jointree
-from .model import Evidence, Factor, ModelError, Scm, scm_factors
+from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
 from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
 from .worlds import WorldMap, moral_graph, mutilate, n_world_network, twin_network
 
@@ -125,7 +125,7 @@ def ve_query(
 ) -> InferenceResult:
     """Pr(target, evidence) and Pr(evidence) by variable elimination.
 
-    The largest intermediate factor is asserted to stay within the
+    The largest intermediate factor is checked to stay within the
     order's width + 1 (the complexity contract made checkable)."""
     _check_states(scm, evidence)
     _check_states(scm, target)
@@ -152,7 +152,8 @@ def ve_query(
 def _prob(factors: list[Factor], order: EliminationOrder, e: Evidence, width: int) -> float:
     reduced = [reduce_factor(f, e) for f in factors]
     value, peak = _eliminate_all(reduced, order.sequence)
-    assert peak <= width + 1, f"peak scope {peak} exceeds width bound {width + 1}"
+    if peak > width + 1:
+        raise InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
     return value
 
 
@@ -199,8 +200,6 @@ def jointree_propagate(
             raise ModelError(f"no factor for hosted family {child!r}")
     leaf_factor = _leaf_factors(jt, factors)
 
-    sep_width = max((len(s) for s in seps.separators.values()), default=0)
-
     def prob(e: Evidence) -> float:
         local = {leaf: reduce_factor(f, e) for leaf, f in leaf_factor.items()}
         sink = jt.nodes[0]
@@ -224,7 +223,9 @@ def jointree_propagate(
             for x in list(f.scope):
                 if x not in sep or x in e.assignments:
                     f = sum_out(f, x)
-            assert len(f.scope) <= sep_width
+            if not set(f.scope) <= sep:
+                raise InvariantError(f"message {v}->{parent[v]} scope {sorted(f.scope)} "
+                                     f"exceeds its separator {sorted(sep)}")
             msg[v] = f
         f = local.get(sink, Factor.unit())
         for u in nb[sink]:

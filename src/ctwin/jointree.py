@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .elimination import EliminationOrder, eliminate
-from .model import Dag, ModelError
+from .model import Dag, InvariantError, ModelError
 from .worlds import moral_graph, twin_name
 
 
@@ -183,7 +183,8 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
     hosts = {}
     for v in dag.nodes:
         i = min(pos[m] for m in families[v])
-        assert families[v] <= cs.clusters[i]
+        if not families[v] <= cs.clusters[i]:
+            raise InvariantError(f"family of {v!r} is not inside cluster {i}")
         leaf = f"f_{v}"
         nodes.append(leaf)
         edges.append(edge_key(leaf, cname[i]))

@@ -21,6 +21,10 @@ class ModelError(Exception):
     """Invalid model file or violated model invariant."""
 
 
+class InvariantError(Exception):
+    """A violated internal contract: a fault of the program, not of its input."""
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph over variable ids."""
@@ -313,7 +317,7 @@ def network_from_dict(doc) -> Scm:
             if len(cpt) != want:
                 raise ModelError(f"{vid}: cpt length {len(cpt)} != {want}")
             for s in cpt:
-                if not isinstance(s, int) or not (0 <= s < cards[vid]):
+                if isinstance(s, bool) or not isinstance(s, int) or not (0 <= s < cards[vid]):
                     raise ModelError(
                         f"{vid}: cpt entry {s!r} is not a valid state index "
                         "(non-deterministic or malformed CPT)"

@@ -6,6 +6,7 @@ and the width report for the replicate-and-thin pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .elimination import EliminationOrder
 from .jointree import (
@@ -111,109 +112,98 @@ def thin(jt: Jointree, functional) -> ThinnedJointree:
     """Apply the two thinning rules to exhaustion, sweeping edges in
     canonical order, rule 1 before rule 2, until a pass removes nothing.
 
-    A removal only commits if it keeps message passing sound: every side
-    of the edge whose hosted families mention X must contain a host of
-    f_X that can re-derive X from the remaining separator (parents in
-    the separator or themselves re-derivable the same way). Every
-    removal is logged with its justification."""
+    A removal only commits if it keeps message passing sound: every
+    x-region (a maximal set of nodes joined by edges whose separators
+    still carry x, with the leaves whose hosted families mention x) must
+    keep a host of f_x, since the sum over x inside a region is exact
+    only there. Every removal is logged with its justification.
+
+    Rules and guard for (x, e) read only the edges carrying x, so each
+    variable runs to its own fixpoint and the log is ordered by (pass,
+    edge, variable), as one joint sweep would order it."""
     functional = frozenset(functional)
-    base = classical_separators(jt)
-    sep: dict[tuple[str, str], set[str]] = {e: set(s) for e, s in base.separators.items()}
-    nb = jt.neighbors()
-    hosts = jt.hosts
-    lf = jt.leaf_family()
-    var_edges: dict[str, set[tuple[str, str]]] = {}
+    sep = {e: set(s) for e, s in classical_separators(jt).separators.items()}
+    mention: dict[str, set[str]] = {}
+    for leaf, child in jt.leaf_family().items():
+        for v in jt.families[child] & functional:
+            mention.setdefault(v, set()).add(leaf)
+    var_edges: dict[str, list[tuple[str, str]]] = {}
     for e, s in sep.items():
-        for v in s:
-            var_edges.setdefault(v, set()).add(e)
-    log: list[dict] = []
-
-    def sound(x: str, e: tuple[str, str]) -> bool:
-        """Would removing x from e keep every x-region anchored?
-
-        An x-region is a maximal set of tree nodes connected by edges
-        whose separators still carry x, together with the leaves whose
-        hosted families mention x. The sum over x inside a region is
-        exact only if the region holds a copy of f_x, so each region
-        must keep at least one host of f_x."""
-        x_edges = var_edges[x] - {e}
-        mention = {l for l in lf if x in jt.families[lf[l]]}
-        comp: dict[str, int] = {}
-        cid = 0
-        for start in sorted({n for ed in x_edges for n in ed} | mention):
-            if start in comp:
-                continue
-            stack = [start]
-            comp[start] = cid
-            while stack:
-                v = stack.pop()
-                for u in nb[v]:
-                    if u not in comp and edge_key(v, u) in x_edges:
-                        comp[u] = cid
-                        stack.append(u)
-            cid += 1
-        anchored = {comp[h] for h in hosts.get(x, ()) if h in comp}
-        return all(comp[l] in anchored for l in mention)
-
-    def rule1(x: str, e: tuple[str, str]):
-        xhosts = hosts.get(x, ())
-        if len(xhosts) < 2:
-            return None
-        # components of the X-separator edge subgraph, split at e
-        adj: dict[str, list[str]] = {}
-        for a, b in var_edges[x]:
-            if (a, b) == e:
-                continue
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-
-        def side(start):
-            seen = {start}
-            stack = [start]
-            while stack:
-                for u in adj.get(stack.pop(), ()):
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            return seen
-
-        left, right = side(e[0]), side(e[1])
-        lh = sorted(h for h in xhosts if h in left)
-        rh = sorted(h for h in xhosts if h in right)
-        if lh and rh:
-            return (lh[0], rh[0])
-        return None
-
-    def rule2(x: str, e: tuple[str, str]):
-        for end in e:
-            if not any(
-                edge_key(end, u) != e and x in sep[edge_key(end, u)]
-                for u in nb[end]
-            ):
-                return end
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(sep):
-            for x in sorted(sep[e]):
-                if x not in functional:
-                    continue
-                witness = rule1(x, e)
-                rule = 1
-                if witness is None:
-                    witness = rule2(x, e)
-                    rule = 2
-                if witness is None or not sound(x, e):
-                    continue
-                sep[e].discard(x)
-                var_edges[x].discard(e)
-                log.append({"edge": e, "variable": x, "rule": rule, "witness": witness})
-                changed = True
-
+        for v in s & functional:
+            var_edges.setdefault(v, []).append(e)
+    removals = []
+    for x, edges in var_edges.items():
+        removals += _thin_variable(x, sorted(edges), set(jt.hosts.get(x, ())), mention.get(x, set()))
+    log = []
+    for _, e, x, rule, witness in sorted(removals, key=lambda r: r[:3]):
+        sep[e].discard(x)
+        log.append({"edge": e, "variable": x, "rule": rule, "witness": witness})
     assignment = _assemble(jt, {e: frozenset(s) for e, s in sep.items()})
     return ThinnedJointree(jt, assignment, functional, tuple(log))
+
+
+def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]:
+    """Removals (pass, edge, x, rule, witness) of x from its sorted edges.
+
+    The x-edges form a forest. Each component is rooted, and every node
+    carries the hosts and mentions in its subtree, so removing (parent,
+    child) splits off the child's subtree with known counts: rule 1
+    needs a host on both sides, rule 2 an endpoint of x-degree 1, and the
+    guard no side that has mentions but no host. A committed removal
+    relabels the component it splits."""
+    adj: dict[str, set[str]] = {v: set() for v in mention}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    parent: dict[str, str | None] = {}
+    comp: dict[str, int] = {}
+    below: dict[str, list[int]] = {}  # node -> [hosts, mentions] in its subtree
+    comps: list[tuple[int, int, str | None]] = []  # hosts, mentions, smallest host
+
+    def label(root: str) -> int:
+        parent[root] = None
+        order = [root]
+        for v in order:
+            comp[v] = len(comps)
+            below[v] = [v in hosts, v in mention]
+            for u in adj[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    order.append(u)
+        for v in reversed(order[1:]):
+            up, down = below[parent[v]], below[v]
+            up[0] += down[0]
+            up[1] += down[1]
+        comps.append((*below[root], min((v for v in order if v in hosts), default=None)))
+        return len(comps) - 1
+
+    for v in adj:
+        if v not in comp:
+            h, m, _ = comps[label(v)]
+            if m and not h:
+                return []  # an unanchored region only splits further
+    out = []
+    for k in count():
+        keep = []
+        for e in edges:
+            a, b = e
+            c = a if parent[a] == b else b
+            hc, mc = below[c]
+            ho, mo = comps[comp[c]][0] - hc, comps[comp[c]][1] - mc
+            if hc and ho:
+                rule, witness = 1, None
+            elif (len(adj[a]) == 1 or len(adj[b]) == 1) and (hc or not mc) and (ho or not mo):
+                rule, witness = 2, a if len(adj[a]) == 1 else b
+            else:
+                keep.append(e)
+                continue
+            adj[a].remove(b)
+            adj[b].remove(a)
+            ends = label(a), label(b)
+            out.append((k, e, x, rule, witness or tuple(comps[i][2] for i in ends)))
+        if len(keep) == len(edges):
+            return out
+        edges = keep
 
 
 def thinned_twin_separators(base: ThinnedJointree, twin_jt: Jointree) -> ThinnedJointree:

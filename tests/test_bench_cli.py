@@ -217,3 +217,33 @@ def test_cli_bad_input_exit_one(tmp_path, capsys):
     rc, _ = run_cli(capsys, "mutilate", "--net", str(tmp_path / "missing.json"),
                     "--do", "not-an-assignment")
     assert rc == 1
+
+
+def test_cli_bool_cpt_entry_exit_one(tmp_path, capsys):
+    net = {"variables": [
+        {"id": "A", "states": ["s0", "s1"], "parents": [], "dist": [0.5, 0.5]},
+        {"id": "B", "states": ["s0", "s1"], "parents": ["A"], "cpt": [True, 0]},
+    ]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    rc = main(["jointree", "--net", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: B: cpt entry True")
+
+
+def test_cli_invariant_error_exit_two(tmp_path, capsys, monkeypatch):
+    import ctwin.cli
+    from ctwin import InvariantError
+
+    def broken(jt):
+        raise InvariantError("separator check failed")
+
+    monkeypatch.setattr(ctwin.cli, "classical_separators", broken)
+    path = tmp_path / "net.json"
+    save_network(half_adder(), path)
+    rc = main(["jointree", "--net", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "invariant violated: separator check failed\n"

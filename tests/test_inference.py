@@ -266,3 +266,39 @@ def test_one_world_query_is_plain_inference(adder):
     plain = ve_query(adder, Evidence({"A": 1, "B": 1}), order, Evidence({"C": 1}))
     for engine in ENGINES:
         assert counterfactual(adder, q, engine).value == pytest.approx(plain.value)
+
+
+_BREAK_CONTRACTS = """
+import sys
+import ctwin.inference as inf
+from ctwin import Evidence, InvariantError, jointree_from_order, minfill_order, moral_graph, scm_factors
+from ctwin.randgen import Rng, gen_rscm
+
+print("optimize", sys.flags.optimize)
+scm = gen_rscm(6, 2, Rng(3))
+order = minfill_order(moral_graph(scm.dag))
+try:
+    inf._prob(scm_factors(scm), order, Evidence({}), width=0)
+except InvariantError as e:
+    print("ve:", e)
+inf.sum_out = lambda f, x: f  # messages keep every variable
+try:
+    inf.jointree_propagate(jointree_from_order(scm.dag, order), scm, Evidence({}), Evidence({}))
+except InvariantError as e:
+    print("jointree:", e)
+"""
+
+
+def test_contract_checks_fire_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", _BREAK_CONTRACTS], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1].startswith("ve: peak scope ")
+    assert out[2].startswith("jointree: message ") and "exceeds its separator" in out[2]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctwin import (
     Dag,
@@ -13,6 +15,7 @@ from ctwin import (
     thin,
     thinned_twin_separators,
 )
+from ctwin.bench import generate_dag, twin_dag
 from ctwin.jointree import edge_key
 
 from conftest import random_scm
@@ -135,3 +138,85 @@ def test_width_report_exposes_replication_blowup():
     report = causal_width_report(dag, {"D"}, chain_bound=10, heuristic_order=order)
     assert report.replicated_width >= report.classical_width
     assert report.thinned_width <= report.replicated_width
+
+
+# ------------------------------------------------ thin: property checks
+
+
+def _regions(jt, separators, x):
+    """x-regions by DFS: nodes joined by edges whose separator carries x,
+    together with the leaves whose hosted families mention x."""
+    lf = jt.leaf_family()
+    nb = jt.neighbors()
+    members = {l for l, child in lf.items() if x in jt.families[child]}
+    members |= {v for e, s in separators.items() if x in s for v in e}
+    seen, out = set(), []
+    for start in sorted(members):
+        if start in seen:
+            continue
+        region, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for u in nb[v]:
+                if u not in region and x in separators[edge_key(v, u)]:
+                    region.add(u)
+                    stack.append(u)
+        seen |= region
+        out.append(region)
+    return out
+
+
+def _anchored(jt, separators, x):
+    """Every x-region that holds a leaf mentioning x holds a host of f_x."""
+    lf = jt.leaf_family()
+    hosts = set(jt.hosts.get(x, ()))
+    return all(
+        region & hosts
+        for region in _regions(jt, separators, x)
+        if any(x in jt.families[lf[l]] for l in region & set(lf))
+    )
+
+
+@st.composite
+def thinning_cases(draw):
+    generator = draw(st.sampled_from(("rNET", "rSCM")))
+    n = draw(st.integers(2, 14))
+    dag = generate_dag(generator, n, draw(st.integers(1, 4)), draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        dag = twin_dag(dag)
+    jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
+    return dag, replicate(jt, dag, draw(st.sampled_from((0, 1, 10))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(thinning_cases())
+def test_thin_replays_stays_anchored_and_is_a_fixpoint(case):
+    dag, rep = case
+    functional = set(dag.internals())
+    thinned = thin(rep, functional)
+    seps = thinned.thinned.separators
+
+    # (a) the log replays the classical separators to the thinned ones
+    replay = {e: set(s) for e, s in classical_separators(rep).separators.items()}
+    for entry in thinned.log:
+        assert entry["variable"] in functional
+        replay[entry["edge"]].remove(entry["variable"])
+    assert {e: frozenset(s) for e, s in replay.items()} == seps
+
+    # (b) every x-region keeps a host of f_x
+    for x in rep.families:
+        assert _anchored(rep, seps, x), x
+
+    # (c) no functional (x, e) left passes rule 1 or rule 2 and the guard
+    nb = rep.neighbors()
+    for e, s in seps.items():
+        for x in s & functional:
+            rest = {f: t - {x} if f == e else t for f, t in seps.items()}
+            sides = [r for r in _regions(rep, rest, x) if e[0] in r or e[1] in r]
+            hosts = set(rep.hosts.get(x, ()))
+            rule1 = len(sides) == 2 and all(r & hosts for r in sides)
+            rule2 = any(
+                not any(u not in e and x in seps[edge_key(end, u)] for u in nb[end])
+                for end in e
+            )
+            assert not ((rule1 or rule2) and _anchored(rep, rest, x)), (e, x)
