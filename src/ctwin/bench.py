@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .elimination import EliminationOrder, _bits, eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
+from .elimination import EliminationOrder, _bits, _eliminate_bit, eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
 from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
 from .model import Dag, ModelError, network_to_dict
 from .randgen import Rng, gen_rnet, gen_rnet2, parameterize, to_rscm
@@ -366,10 +366,7 @@ def _min_degree_width(adj: list[int], cap: int) -> int:
             width = deg
             if width > cap:
                 break
-        nb = adj[best]
-        drop = 1 << best
-        for j in _bits(nb):
-            adj[j] = (adj[j] | nb) & ~((1 << j) | drop)
+        _eliminate_bit(adj, best)
         alive.remove(best)
     return width
 

@@ -150,21 +150,40 @@ def cmd_thin(a):
     _emit(doc, a.out)
 
 
+def _int(x, what):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ModelError(f"query: {what} {x!r} is not an integer")
+    return x
+
+
+def _query(q, roots) -> CounterfactualQuery:
+    """Check a query file's shape and integers; CounterfactualQuery and the
+    engines check world ranges, variables and states."""
+    if not isinstance(q, dict):
+        raise ModelError("query: top-level object required")
+    worlds = _int(q.get("worlds", 1), "worlds")
+    shared = q.get("shared_roots", "all")
+    if shared != "all" and not (isinstance(shared, list) and all(isinstance(r, str) for r in shared)):
+        raise ModelError('query: shared_roots must be "all" or an array of ids')
+    sets = {}
+    for k in ("observations", "interventions"):
+        per_world = q.get(k, [{}] * worlds)
+        if not isinstance(per_world, list) or not all(isinstance(o, dict) for o in per_world):
+            raise ModelError(f"query: {k} must be an array of objects")
+        sets[k] = tuple(Evidence({v: _int(s, f"state of {v}") for v, s in o.items()}) for o in per_world)
+    target = q.get("target")
+    if not isinstance(target, list) or not all(
+            isinstance(t, list) and len(t) == 3 and isinstance(t[1], str) for t in target):
+        raise ModelError("query: target must be an array of [world, variable, state] triples")
+    target = tuple((_int(w, "target world"), v, _int(s, "target state")) for w, v, s in target)
+    return CounterfactualQuery(worlds, frozenset(roots if shared == "all" else shared), target=target,
+                               mode=q.get("mode", "conditional"), **sets)
+
+
 def cmd_infer(a):
     scm = _load(a.net)
     with open(a.query, "r", encoding="utf-8") as fh:
-        q = json.load(fh)
-    worlds = int(q.get("worlds", 1))
-    shared = q.get("shared_roots", "all")
-    shared = frozenset(scm.dag.roots()) if shared == "all" else frozenset(shared)
-    query = CounterfactualQuery(
-        world_count=worlds,
-        shared_roots=shared,
-        observations=tuple(Evidence(o) for o in q.get("observations", [{}] * worlds)),
-        interventions=tuple(Evidence(o) for o in q.get("interventions", [{}] * worlds)),
-        target=tuple((int(w), v, int(s)) for w, v, s in q["target"]),
-        mode=q.get("mode", "conditional"),
-    )
+        query = _query(json.load(fh), scm.dag.roots())
     res = counterfactual(scm, query, engine=a.engine)
     _emit({"value": res.value, "evidence_probability": res.evidence_probability,
            "method": res.method}, a.out)

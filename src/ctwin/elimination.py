@@ -8,6 +8,7 @@ sizes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .model import Dag, ModelError
@@ -25,15 +26,10 @@ class ClusterSequence:
     width: int
 
 
-def _bit_adjacency(g: MoralGraph):
-    index = {v: i for i, v in enumerate(g.nodes)}
-    adj = [0] * len(g.nodes)
-    for v, nbs in g.adjacency.items():
-        m = 0
-        for u in nbs:
-            m |= 1 << index[u]
-        adj[index[v]] = m
-    return index, adj
+def _bit_adjacency(g: MoralGraph, nodes=None):
+    nodes = g.nodes if nodes is None else nodes  # bit order
+    index = {v: i for i, v in enumerate(nodes)}
+    return index, [sum(1 << index[u] for u in g.adjacency.get(v, ())) for v in nodes]
 
 
 def _bits(mask: int):
@@ -43,51 +39,62 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _eliminate_bit(adj: list[int], i: int) -> int:
+    """Connect i's neighbours pairwise and remove i; returns them."""
+    nb = adj[i]
+    for j in _bits(nb):
+        adj[j] = (adj[j] | nb) & ~((1 << j) | (1 << i))
+    adj[i] = 0
+    return nb
+
+
 def eliminate(g: MoralGraph, order: EliminationOrder) -> ClusterSequence:
     """Replay the elimination process on a working copy of g and collect
     the induced cluster sequence."""
     if sorted(order.sequence) != sorted(g.nodes):
         raise ModelError("order is not a permutation of the graph's nodes")
     index, adj = _bit_adjacency(g)
-    clusters = []
-    width = 0
-    for v in order.sequence:
-        i = index[v]
-        nb = adj[i]
-        cluster = frozenset([v] + [g.nodes[j] for j in _bits(nb)])
-        clusters.append(cluster)
-        width = max(width, len(cluster) - 1)
-        bit_i = 1 << i
-        for j in _bits(nb):
-            adj[j] = (adj[j] | nb) & ~((1 << j) | bit_i)
-        adj[i] = 0
-    return ClusterSequence(tuple(clusters), width)
+    clusters = tuple(frozenset([v] + [g.nodes[j] for j in _bits(_eliminate_bit(adj, index[v]))])
+                     for v in order.sequence)
+    return ClusterSequence(clusters, max((len(c) - 1 for c in clusters), default=0))
 
 
 def minfill_order(g: MoralGraph) -> EliminationOrder:
-    """Greedy minfill. Ties: smallest resulting cluster, then smallest id."""
-    index, adj = _bit_adjacency(g)
-    nodes = g.nodes
-    alive = set(range(len(nodes)))
+    """Greedy minfill (Kjaerulff 1990): eliminate the alive node of least
+    key (fill-in, degree, rank of its id in ``sorted(g.nodes)``).
+
+    Eliminating i changes adjacency only inside its neighbourhood N, so
+    only the keys of N and adj(N), the 2-neighbourhood of i, are rescored;
+    a heap yields the least key and skips stale entries.
+    """
+    nodes = sorted(g.nodes)
+    _, adj = _bit_adjacency(g, nodes)
+
+    def key(i):  # fill-in = (d(d-1) - sum over j in N(i) of |N(i) & N(j)|) / 2
+        nb = m = adj[i]
+        d, s = nb.bit_count(), 0
+        while m:  # _bits inlined: this is the hot loop
+            low = m & -m
+            s += (nb & adj[low.bit_length() - 1]).bit_count()
+            m ^= low
+        return ((d * (d - 1) - s) // 2, d, i)
+
+    keys = [key(i) for i in range(len(nodes))]
+    heap = sorted(keys)  # a sorted list is a heap
     seq = []
-    while alive:
-        best = None
-        for i in sorted(alive, key=lambda k: nodes[k]):
-            nb = adj[i]
-            fill = 0
-            for j in _bits(nb):
-                fill += bin(nb & ~adj[j] & ~(1 << j)).count("1")
-            fill //= 2
-            key = (fill, bin(nb).count("1"))
-            if best is None or key < best[0]:
-                best = (key, i)
-        i = best[1]
-        nb = adj[i]
-        bit_i = 1 << i
+    while heap:
+        k = heapq.heappop(heap)
+        i = k[2]
+        if keys[i] != k:
+            continue
+        keys[i] = None
+        nb = touched = _eliminate_bit(adj, i)
         for j in _bits(nb):
-            adj[j] = (adj[j] | nb) & ~((1 << j) | bit_i)
-        adj[i] = 0
-        alive.remove(i)
+            touched |= adj[j]
+        for j in _bits(touched):
+            if (k := key(j)) != keys[j]:
+                keys[j] = k
+                heapq.heappush(heap, k)
         seq.append(nodes[i])
     return EliminationOrder(tuple(seq))
 
@@ -140,22 +147,15 @@ def exact_treewidth(g: MoralGraph, node_limit: int = 12) -> int:
             return best
         seen[done] = worst
         # candidates sorted by current degree: cheap most-promising-first
-        cand = sorted(
-            (i for i in range(n) if not done >> i & 1),
-            key=lambda i: bin(adj[i]).count("1"),
-        )
+        cand = sorted((i for i in range(n) if not done >> i & 1), key=lambda i: adj[i].bit_count())
         for i in cand:
-            size = bin(adj[i]).count("1")  # cluster size - 1
+            size = adj[i].bit_count()  # cluster size - 1
             w = max(worst, size)
             if w >= best:
                 continue
-            nb = adj[i]
             nxt = list(adj)
-            bit_i = 1 << i
-            for j in _bits(nb):
-                nxt[j] = (nxt[j] | nb) & ~((1 << j) | bit_i)
-            nxt[i] = 0
-            best = min(best, search(nxt, done | bit_i, w, best))
+            _eliminate_bit(nxt, i)
+            best = min(best, search(nxt, done | 1 << i, w, best))
         return best
 
     return search(adj0, 0, 0, upper)

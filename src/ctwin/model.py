@@ -299,7 +299,11 @@ def network_from_dict(doc) -> Scm:
         if is_root:
             if "dist" not in entry:
                 raise ModelError(f"{vid}: root variable needs 'dist'")
-            table = tuple(float(x) for x in entry["dist"])
+            dist = entry["dist"]
+            if not isinstance(dist, list) or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in dist):
+                raise ModelError(f"{vid}: dist must be an array of numbers, got {dist!r}")
+            table = tuple(float(x) for x in dist)
             if len(table) != cards[vid]:
                 raise ModelError(f"{vid}: dist length != number of states")
             if any(x < 0 for x in table):

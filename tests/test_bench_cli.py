@@ -234,6 +234,53 @@ def test_cli_bool_cpt_entry_exit_one(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: B: cpt entry True")
 
 
+def test_cli_bool_root_dist_exit_one(tmp_path, capsys):
+    net = {"variables": [
+        {"id": "A", "states": ["s0", "s1"], "parents": [], "dist": [True, False]},
+        {"id": "B", "states": ["s0", "s1"], "parents": ["A"], "cpt": [1, 0]},
+    ]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    rc = main(["jointree", "--net", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: A: dist must be an array of numbers")
+
+
+VALID_QUERY = {"worlds": 2, "observations": [{"v1": 0}, {}], "interventions": [{}, {"v0": 1}],
+               "target": [[2, "v5", 1]]}
+
+
+@pytest.mark.parametrize("query, message", [
+    pytest.param(dict(VALID_QUERY, target=5), "target must be an array of [world, variable, state] triples", id="target-int"),
+    pytest.param([1], "top-level object required", id="top-level-array"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": "a"}, {}]), "state of v1 'a' is not an integer", id="state-str"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": 0.5}, {}]), "state of v1 0.5 is not an integer", id="state-float"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": True}, {}]), "state of v1 True is not an integer", id="state-bool"),
+    pytest.param(dict(VALID_QUERY, target=[[2, "v5", 1.5]]), "target state 1.5 is not an integer", id="target-state-float"),
+    pytest.param(dict(VALID_QUERY, target=[[True, "v5", 1]]), "target world True is not an integer", id="target-world-bool"),
+    pytest.param(dict(VALID_QUERY, target=[[2, "v5"]]), "target must be an array of [world, variable, state] triples", id="target-pair"),
+    pytest.param(dict(VALID_QUERY, worlds="2"), "worlds '2' is not an integer", id="worlds-str"),
+    pytest.param(dict(VALID_QUERY, shared_roots=5), 'shared_roots must be "all" or an array of ids', id="shared-roots-int"),
+    pytest.param(dict(VALID_QUERY, interventions={"v0": 1}), "interventions must be an array of objects", id="interventions-object"),
+])
+def test_cli_infer_malformed_query_exit_one(tmp_path, capsys, query, message):
+    net = tmp_path / "net.json"
+    assert main(["gen", "--n", "6", "--param", "2", "--seed", "3", "--out", str(net)]) == 0
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(VALID_QUERY))
+    assert main(["infer", "--net", str(net), "--query", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(query))
+    rc = main(["infer", "--net", str(net), "--query", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: query: {message}"]
+
+
 def test_cli_invariant_error_exit_two(tmp_path, capsys, monkeypatch):
     import ctwin.cli
     from ctwin import InvariantError

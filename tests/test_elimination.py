@@ -1,15 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctwin import Dag, EliminationOrder, ModelError, eliminate, exact_treewidth, minfill_order, moral_graph, n_world_order, twin_order
-from ctwin.worlds import MoralGraph
+from ctwin.elimination import _bit_adjacency, _bits
+from ctwin.worlds import MoralGraph, n_world_network, twin_network
 
 from conftest import half_adder, random_scm
 
 
-def graph(n, edges):
-    nodes = tuple(chr(65 + i) for i in range(n))
+def graph(n, edges, names=None):
+    nodes = tuple(names or (chr(65 + i) for i in range(n)))
     adj = {v: set() for v in nodes}
     for i, j in edges:
         adj[nodes[i]].add(nodes[j])
@@ -108,3 +111,85 @@ def test_width_of_minfill_bounded_by_nodes():
         g = moral_graph(scm.dag)
         cs = eliminate(g, minfill_order(g))
         assert 0 <= cs.width < len(scm.dag.nodes)
+
+
+# ------------------------------------------- minfill against a full rescan
+
+def reference_minfill(g):
+    """Greedy minfill by full rescan: at every step score every alive node
+    from scratch, scanning ids in sorted order and keeping the first node
+    of least (fill-in, degree)."""
+    _, adj = _bit_adjacency(g)
+    nodes = g.nodes
+    alive = set(range(len(nodes)))
+    seq = []
+    while alive:
+        best = None
+        for i in sorted(alive, key=lambda k: nodes[k]):
+            nb = adj[i]
+            fill = 0
+            for j in _bits(nb):
+                fill += bin(nb & ~adj[j] & ~(1 << j)).count("1")
+            fill //= 2
+            key = (fill, bin(nb).count("1"))
+            if best is None or key < best[0]:
+                best = (key, i)
+        i = best[1]
+        nb = adj[i]
+        bit_i = 1 << i
+        for j in _bits(nb):
+            adj[j] = (adj[j] | nb) & ~((1 << j) | bit_i)
+        adj[i] = 0
+        alive.remove(i)
+        seq.append(nodes[i])
+    return EliminationOrder(tuple(seq))
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Graphs up to 18 nodes, many of them all ties (empty, clique, cycle,
+    star), with ids such as n10 < n2 whose sorted order differs from their
+    position in g.nodes."""
+    n = draw(st.integers(0, 18))
+    names = [f"n{k}" for k in draw(st.permutations(range(n)))]
+    pairs = list(itertools.combinations(range(n), 2))
+    shape = draw(st.sampled_from(("random", "empty", "clique", "cycle", "star")))
+    if shape == "random":
+        density = draw(st.sampled_from((0.1, 0.3, 0.6, 0.9)))
+        edges = [p for p in pairs if draw(st.floats(0, 1)) < density]
+    elif shape == "empty":
+        edges = []
+    elif shape == "clique":
+        edges = pairs
+    elif shape == "cycle":
+        edges = [(k, (k + 1) % n) for k in range(n)] if n > 2 else pairs
+    else:
+        edges = [(0, k) for k in range(1, n)]
+    return graph(n, edges, names)
+
+
+@st.composite
+def world_graphs(draw):
+    """Moral graphs of twin and N-world networks of random small rSCMs."""
+    scm = random_scm(draw(st.integers(0, 2**32)), n=draw(st.integers(2, 7)),
+                     param=draw(st.integers(1, 3)))
+    worlds = draw(st.integers(2, 3))
+    if worlds == 2 and draw(st.booleans()):
+        net, _ = twin_network(scm)
+    else:
+        roots = list(scm.dag.roots())
+        shared = [r for r in roots if draw(st.booleans())]
+        net, _ = n_world_network(scm, shared, worlds)
+    return moral_graph(net.dag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_graphs())
+def test_minfill_matches_full_rescan(g):
+    assert minfill_order(g) == reference_minfill(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(world_graphs())
+def test_minfill_matches_full_rescan_on_world_networks(g):
+    assert minfill_order(g) == reference_minfill(g)

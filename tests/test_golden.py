@@ -1,7 +1,10 @@
-"""Golden CLI outputs for the thinning path, captured at fixed seeds.
+"""Golden CLI outputs captured at fixed seeds.
 
 Each file under tests/golden/ holds the exact bytes a command printed
-before the thinning rewrite; refactors must keep them byte-identical.
+before a rewrite of the code it exercises: the thinning path (`thin
+--twin`, `bench`) and the minfill-driven commands (`order`, `jointree`,
+`twin-jointree`, `treewidth`, `infer`). Refactors must keep them
+byte-identical.
 """
 
 from pathlib import Path
@@ -35,3 +38,25 @@ def test_bench_matches_golden(tmp_path):
     assert main(["bench", "--generator", "rSCM", "--n", "20", "--param", "3",
                  "--reps", "3", "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "bench_rscm_n20_p3_reps3_seed0.csv").read_bytes()
+
+
+# (golden file prefix, CLI arguments after --net); each runs on both networks
+MINFILL_COMMANDS = {
+    "order_twin": ["order", "--lift", "twin"],
+    "order_nworld3_all": ["order", "--lift", "nworld", "--worlds", "3", "--shared", "all"],
+    "order_nworld3_v0v1v8": ["order", "--lift", "nworld", "--worlds", "3", "--shared", "v0,v1,v8"],
+    "jointree": ["jointree"],
+    "twin_jointree": ["twin-jointree"],
+    "treewidth": ["treewidth"],
+    "infer_ve": ["infer", "--engine", "ve", "--query", str(GOLDEN / "query_twin_v3_v19.json")],
+    "infer_jointree": ["infer", "--engine", "jointree", "--query", str(GOLDEN / "query_twin_v3_v19.json")],
+}
+
+
+@pytest.mark.parametrize("name", NETS)
+@pytest.mark.parametrize("prefix", MINFILL_COMMANDS)
+def test_minfill_command_matches_golden(tmp_path, prefix, name):
+    command, *rest = MINFILL_COMMANDS[prefix]
+    out = tmp_path / "out.json"
+    assert main([command, "--net", str(GOLDEN / f"{name}.json"), *rest, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{prefix}_{name}.json").read_bytes()
