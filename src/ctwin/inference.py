@@ -6,6 +6,7 @@ brute-force oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
@@ -127,12 +128,17 @@ def ve_query(
 
     The largest intermediate factor is checked to stay within the
     order's width + 1 (the complexity contract made checkable)."""
+    return _ve(scm, scm_factors(scm), evidence, order, target, mode)
+
+
+def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, order: EliminationOrder,
+        target: Evidence, mode: str) -> InferenceResult:
+    """ve_query over the given factors of scm, in network node order."""
     _check_states(scm, evidence)
     _check_states(scm, target)
     if set(order.sequence) != set(scm.dag.nodes):
         raise ModelError("order does not cover the network's variables")
     width = eliminate(moral_graph(scm.dag), order).width
-    factors = scm_factors(scm)
 
     both = Evidence({**evidence.assignments, **target.assignments})
     for v in both.assignments:
@@ -159,11 +165,11 @@ def _prob(factors: list[Factor], order: EliminationOrder, e: Evidence, width: in
 
 # ---------------------------------------------------------------- jointree
 
-def _leaf_factors(jt: Jointree, factors: dict[str, Factor]) -> dict[str, Factor]:
+def _leaf_factors(hosts: dict[str, tuple[str, ...]], factors: dict[str, Factor]) -> dict[str, Factor]:
     """Assign the family factor for each child to every one of its host
     leaves; replicated families must be deterministic (0/1 tables)."""
     out: dict[str, Factor] = {}
-    for child, leaves in jt.hosts.items():
+    for child, leaves in hosts.items():
         f = factors[child]
         if len(leaves) > 1:
             vals = f.values
@@ -172,6 +178,34 @@ def _leaf_factors(jt: Jointree, factors: dict[str, Factor]) -> dict[str, Factor]
         for leaf in leaves:
             out[leaf] = f
     return out
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """A jointree rooted at its first node, ready for message passing:
+    the family hosts, and every other node in reverse breadth-first order
+    with its parent, its children and the separator towards its parent."""
+
+    hosts: dict[str, tuple[str, ...]]
+    steps: tuple[tuple[str, str, tuple[str, ...], frozenset[str]], ...]
+    sink: str
+    sink_children: tuple[str, ...]
+    method: str
+
+
+def _schedule(jt: Jointree, separators: dict[tuple[str, str], frozenset[str]], method: str) -> _Schedule:
+    sink = jt.nodes[0]
+    nb = jt.neighbors()
+    parent: dict[str, str | None] = {sink: None}
+    order = [sink]
+    for v in order:
+        for u in nb[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    steps = tuple((v, parent[v], tuple(u for u in nb[v] if u != parent[v]),
+                   separators[edge_key(v, parent[v])]) for v in reversed(order[1:]))
+    return _Schedule(jt.hosts, steps, sink, tuple(nb[sink]), method)
 
 
 def jointree_propagate(
@@ -192,48 +226,43 @@ def jointree_propagate(
         jt = jt_or_thinned
         seps = separators if separators is not None else classical_separators(jt)
         method = "jointree"
+    return _propagate(_schedule(jt, seps.separators, method), scm, scm_factors(scm),
+                      evidence, target, mode)
+
+
+def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evidence,
+               target: Evidence, mode: str) -> InferenceResult:
+    """jointree_propagate over a rooted jointree and the given factors of scm."""
     _check_states(scm, evidence)
     _check_states(scm, target)
-    factors = {f.scope[-1]: f for f in scm_factors(scm)}
-    for child in jt.hosts:
-        if child not in factors:
+    by_child = {f.scope[-1]: f for f in factors}
+    for child in sched.hosts:
+        if child not in by_child:
             raise ModelError(f"no factor for hosted family {child!r}")
-    leaf_factor = _leaf_factors(jt, factors)
+    leaf_factor = _leaf_factors(sched.hosts, by_child)
 
     def prob(e: Evidence) -> float:
         local = {leaf: reduce_factor(f, e) for leaf, f in leaf_factor.items()}
-        sink = jt.nodes[0]
-        nb = jt.neighbors()
-        parent: dict[str, str | None] = {sink: None}
-        order = [sink]
-        for v in order:
-            for u in nb[v]:
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
         msg: dict[str, Factor] = {}
-        for v in reversed(order):
-            if parent[v] is None:
-                continue
+        for v, p, children, sep in sched.steps:
             f = local.get(v, Factor.unit())
-            for u in nb[v]:
-                if u != parent[v]:
-                    f = multiply(f, msg[u])
-            sep = seps.separators[edge_key(v, parent[v])]
+            for u in children:
+                f = multiply(f, msg[u])
             for x in list(f.scope):
                 if x not in sep or x in e.assignments:
                     f = sum_out(f, x)
             if not set(f.scope) <= sep:
-                raise InvariantError(f"message {v}->{parent[v]} scope {sorted(f.scope)} "
+                raise InvariantError(f"message {v}->{p} scope {sorted(f.scope)} "
                                      f"exceeds its separator {sorted(sep)}")
             msg[v] = f
-        f = local.get(sink, Factor.unit())
-        for u in nb[sink]:
+        f = local.get(sched.sink, Factor.unit())
+        for u in sched.sink_children:
             f = multiply(f, msg[u])
         for x in list(f.scope):
             f = sum_out(f, x)
         return factor_value(f)
 
+    method = sched.method
     for v in target.assignments:
         if v in evidence.assignments and evidence.assignments[v] != target.assignments[v]:
             return InferenceResult(0.0, prob(evidence), method)
@@ -249,18 +278,77 @@ def jointree_propagate(
 
 # ---------------------------------------------------------------- queries
 
-def _is_twin_case(scm: Scm, q: CounterfactualQuery) -> bool:
-    return q.world_count == 2 and q.shared_roots == frozenset(scm.dag.roots())
+class _Layout:
+    """The query-independent part of counterfactual queries on one world
+    layout (world count, shared roots) of an Scm: the unmutilated world
+    network and its factors, the base and lifted minfill orders and, in
+    the twin case, the base jointree and the Alg-1 twin jointree with its
+    classical or thinned separators. Each part is built when an engine
+    first reads it. It holds no reference to the Scm that owns it."""
+
+    def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
+        self.dag = scm.dag
+        self.world_count = world_count
+        self.shared_roots = shared_roots
+        self.twin = world_count == 2 and shared_roots == frozenset(scm.dag.roots())
+        if self.twin:
+            self.net, self.wmap = twin_network(scm)
+        else:
+            self.net, self.wmap = n_world_network(scm, shared_roots, world_count)
+
+    @cached_property
+    def factors(self) -> list[Factor]:
+        out = scm_factors(self.net)
+        for f in out:
+            f.values.flags.writeable = False  # shared by every later query
+        return out
+
+    def query_factors(self, net: Scm, do: dict[str, int]) -> list[Factor]:
+        """The factors of net, the network mutilated by do: the compiled
+        ones, with each intervened family replaced by its point mass."""
+        return [Factor.of((v,), {v: net.card(v)}, net.root_tables[v]) if v in do else f
+                for v, f in zip(net.dag.nodes, self.factors)]
+
+    @cached_property
+    def base_order(self) -> EliminationOrder:
+        return minfill_order(moral_graph(self.dag))
+
+    @cached_property
+    def order(self) -> EliminationOrder:
+        if self.twin:
+            return twin_order(self.base_order, self.dag)
+        return n_world_order(self.base_order, self.dag, self.shared_roots, self.world_count)
+
+    @cached_property
+    def base_jointree(self) -> Jointree:
+        return jointree_from_order(self.dag, self.base_order)
+
+    @cached_property
+    def twin_schedule(self) -> _Schedule:
+        """The twin jointree with classical separators. A jointree of the
+        unmutilated network stays valid after mutilation, because
+        families only shrink."""
+        jt = make_twin_jointree(self.base_jointree, self.dag)
+        return _schedule(jt, classical_separators(jt).separators, "jointree")
+
+    @cached_property
+    def thinned_twin_schedule(self) -> _Schedule:
+        """The twin jointree of the replicated base jointree, with the
+        thinned base separators lifted by Thm 3."""
+        rep = replicate(self.base_jointree, self.dag, 10)
+        thinned = thinned_twin_separators(thin(rep, self.dag.internals()), make_twin_jointree(rep, self.dag))
+        return _schedule(thinned.jointree, thinned.thinned.separators, "jointree-thinned")
 
 
-def build_query_network(scm: Scm, q: CounterfactualQuery):
-    """N-world network (twin naming when N=2 with all roots shared),
-    mutilated by the per-world interventions, plus mapped evidence and
-    target. Returns (network, world_map, evidence, target)."""
-    if _is_twin_case(scm, q):
-        net, wmap = twin_network(scm)
-    else:
-        net, wmap = n_world_network(scm, q.shared_roots, q.world_count)
+def _query_network(scm: Scm, q: CounterfactualQuery):
+    """The compiled layout of q, the world network mutilated by q's
+    interventions, those interventions, and q's evidence and target in
+    network ids."""
+    key = (q.world_count, frozenset(q.shared_roots))
+    layout = scm._compiled.get(key)
+    if layout is None:
+        layout = scm._compiled[key] = _Layout(scm, *key)
+    wmap = layout.wmap
     do = {}
     for w, ev in enumerate(q.interventions, start=1):
         for v, s in ev.items():
@@ -278,7 +366,15 @@ def build_query_network(scm: Scm, q: CounterfactualQuery):
         if tgt.get(nid, s) != s:
             raise ModelError(f"conflicting target states on {nid!r}")
         tgt[nid] = s
-    return mutilate(net, Evidence(do)), wmap, Evidence(obs), Evidence(tgt)
+    return layout, mutilate(layout.net, Evidence(do)), do, Evidence(obs), Evidence(tgt)
+
+
+def build_query_network(scm: Scm, q: CounterfactualQuery):
+    """N-world network (twin naming when N=2 with all roots shared),
+    mutilated by the per-world interventions, plus mapped evidence and
+    target. Returns (network, world_map, evidence, target)."""
+    layout, net, _, obs, tgt = _query_network(scm, q)
+    return net, layout.wmap, obs, tgt
 
 
 def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> InferenceResult:
@@ -287,41 +383,34 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
     Engines: "ve" uses a lifted base minfill order; "jointree" and
     "jointree-thinned" lift the base jointree through the twin jointree
     construction when N=2 with all roots shared, and otherwise build a
-    jointree from the lifted order."""
-    net, wmap, obs, tgt = build_query_network(scm, q)
-    base_order = minfill_order(moral_graph(scm.dag))
-    twin_case = _is_twin_case(scm, q)
-    if twin_case:
-        order = twin_order(base_order, scm.dag)
-    else:
-        order = n_world_order(base_order, scm.dag, q.shared_roots, q.world_count)
-
-    if engine == "ve":
-        res = ve_query(net, obs, order, tgt, mode=q.mode)
-        tag = "ve-twin" if twin_case else "ve-nworld"
-        return InferenceResult(res.value, res.evidence_probability, tag)
+    jointree from the lifted order; "oracle" enumerates exogenous states.
+    What does not depend on the query (world network, orders, twin
+    jointrees, separators) is compiled once per Scm and world layout; a
+    query only mutilates, maps its evidence and propagates."""
     if engine == "oracle":
         return brute_force_counterfactual(scm, q)
-
-    base_jt = jointree_from_order(scm.dag, base_order)
+    layout, net, do, obs, tgt = _query_network(scm, q)
+    factors = layout.query_factors(net, do)
+    if engine == "ve":
+        res = _ve(net, factors, obs, layout.order, tgt, q.mode)
+        tag = "ve-twin" if layout.twin else "ve-nworld"
+        return InferenceResult(res.value, res.evidence_probability, tag)
     if engine == "jointree":
-        if twin_case:
-            jt = make_twin_jointree(base_jt, scm.dag)
+        if layout.twin:
+            sched = layout.twin_schedule
         else:
-            jt = jointree_from_order(net.dag, order)
-        return jointree_propagate(jt, net, obs, tgt, mode=q.mode)
-    if engine == "jointree-thinned":
-        if twin_case:
-            rep = replicate(base_jt, scm.dag, 10)
-            thinned_base = thin(rep, scm.dag.internals())
-            twin_jt = make_twin_jointree(rep, scm.dag)
-            thinned = thinned_twin_separators(thinned_base, twin_jt)
+            jt = jointree_from_order(net.dag, layout.order)
+            sched = _schedule(jt, classical_separators(jt).separators, "jointree")
+    elif engine == "jointree-thinned":
+        if layout.twin:
+            sched = layout.thinned_twin_schedule
         else:
-            jt = jointree_from_order(net.dag, order)
-            rep = replicate(jt, net.dag, 10)
+            rep = replicate(jointree_from_order(net.dag, layout.order), net.dag, 10)
             thinned = thin(rep, net.dag.internals())
-        return jointree_propagate(thinned, net, obs, tgt, mode=q.mode)
-    raise ModelError(f"unknown engine {engine!r}")
+            sched = _schedule(thinned.jointree, thinned.thinned.separators, "jointree-thinned")
+    else:
+        raise ModelError(f"unknown engine {engine!r}")
+    return _propagate(sched, net, factors, obs, tgt, q.mode)
 
 
 # ---------------------------------------------------------------- oracles

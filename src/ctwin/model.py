@@ -128,6 +128,11 @@ class Scm:
     Roots carry distributions; internals carry deterministic CPTs stored
     as one child-state index per parent instantiation (lexicographic in
     the listed parent order, last parent fastest).
+
+    An Scm is immutable after construction: its dicts must not be changed.
+    Counterfactual queries rely on this, since they compile each world
+    layout's network, orders and jointrees once into `_compiled` (keyed by
+    world count and shared roots) and reuse them for later queries.
     """
 
     dag: Dag
@@ -135,6 +140,7 @@ class Scm:
     root_tables: dict[str, tuple[float, ...]]
     internal_cpts: dict[str, tuple[int, ...]]
     state_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def card(self, v: str) -> int:
         return self.variables[v].cardinality
@@ -256,8 +262,10 @@ def _parse_variable(entry, pos: int):
     if not isinstance(states, list) or not states:
         raise ModelError(f"{vid}: 'states' must be a non-empty array")
     parents = entry.get("parents", [])
-    if not isinstance(parents, list):
-        raise ModelError(f"{vid}: 'parents' must be an array")
+    if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+        raise ModelError(f"{vid}: 'parents' must be an array of ids")
+    if "functional" in entry and not isinstance(entry["functional"], bool):
+        raise ModelError(f"{vid}: 'functional' must be true or false, got {entry['functional']!r}")
     has_dist = "dist" in entry
     has_cpt = "cpt" in entry
     if has_dist == has_cpt:
@@ -277,7 +285,7 @@ def load_network(path) -> Scm:
 
 
 def network_from_dict(doc) -> Scm:
-    if not isinstance(doc, dict) or "variables" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
         raise ModelError("top-level object with 'variables' array required")
     nodes, parents, cards, state_names = [], {}, {}, {}
     entries = {}
@@ -311,12 +319,14 @@ def network_from_dict(doc) -> Scm:
             if abs(sum(table) - 1.0) > 1e-12:
                 raise ModelError(f"{vid}: dist sums to {sum(table)}, not 1")
             root_tables[vid] = table
-            functional = bool(entry.get("functional", False))
+            functional = entry.get("functional", False)
             kind = "exogenous-root"
         else:
             if "cpt" not in entry:
                 raise ModelError(f"{vid}: internal variable needs 'cpt'")
             cpt = entry["cpt"]
+            if not isinstance(cpt, list):
+                raise ModelError(f"{vid}: cpt must be an array of state indices, got {cpt!r}")
             want = prod(cards[p] for p in parents[vid])
             if len(cpt) != want:
                 raise ModelError(f"{vid}: cpt length {len(cpt)} != {want}")
@@ -327,7 +337,7 @@ def network_from_dict(doc) -> Scm:
                         "(non-deterministic or malformed CPT)"
                     )
             internal_cpts[vid] = tuple(cpt)
-            functional = bool(entry.get("functional", True))
+            functional = entry.get("functional", True)
             if not functional:
                 raise ModelError(f"{vid}: internal SCM variable must be functional")
             kind = "endogenous-internal"

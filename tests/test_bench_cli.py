@@ -249,6 +249,32 @@ def test_cli_bool_root_dist_exit_one(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: A: dist must be an array of numbers")
 
 
+_ROOT = {"id": "A", "states": ["s0", "s1"], "parents": [], "dist": [0.5, 0.5]}
+_CHILD = {"id": "B", "states": ["s0", "s1"], "parents": ["A"], "cpt": [1, 0]}
+
+
+@pytest.mark.parametrize("net, message", [
+    pytest.param({"variables": 5}, "top-level object with 'variables' array required", id="variables-int"),
+    pytest.param({"variables": [_ROOT, dict(_CHILD, cpt=5)]}, "B: cpt must be an array", id="cpt-int"),
+    pytest.param({"variables": [_ROOT, dict(_CHILD, cpt=None)]}, "B: cpt must be an array", id="cpt-null"),
+    pytest.param({"variables": [_ROOT, dict(_CHILD, parents=[["A"]])]}, "B: 'parents' must be an array of ids",
+                 id="parents-nested"),
+    pytest.param({"variables": [dict(_ROOT, functional="no"), _CHILD]}, "A: 'functional' must be true or false",
+                 id="functional-str-root"),
+    pytest.param({"variables": [_ROOT, dict(_CHILD, functional="false")]}, "B: 'functional' must be true or false",
+                 id="functional-str-internal"),
+])
+def test_cli_malformed_network_exit_one(tmp_path, capsys, net, message):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    rc = main(["jointree", "--net", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+
+
 VALID_QUERY = {"worlds": 2, "observations": [{"v1": 0}, {}], "interventions": [{}, {"v0": 1}],
                "target": [[2, "v5", 1]]}
 

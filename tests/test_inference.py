@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ctwin import (
     ve_query,
 )
 
+from ctwin.model import network_from_dict, network_to_dict
 from conftest import random_scm
 
 ENGINES = ("ve", "jointree", "jointree-thinned", "oracle")
@@ -302,3 +305,131 @@ def test_contract_checks_fire_under_python_O():
     assert out[0] == "optimize 1"
     assert out[1].startswith("ve: peak scope ")
     assert out[2].startswith("jointree: message ") and "exceeds its separator" in out[2]
+
+
+# ---------------------------------------------------------------- compiled layouts
+
+def _rebuilt(scm):
+    """The same network in a new Scm, so nothing compiled is shared."""
+    return network_from_dict(network_to_dict(scm))
+
+
+def _outcome(scm, q, engine):
+    try:
+        res = counterfactual(scm, q, engine)
+    except ModelError as e:
+        return type(e).__name__, str(e)
+    return res.value, res.evidence_probability, res.method
+
+
+def _exogenous_space(scm, q):
+    net, _, _, _ = build_query_network(_rebuilt(scm), q)
+    return math.prod(net.card(r) for r in net.dag.roots())
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def query_streams(draw):
+        from ctwin.randgen import Rng, gen_rscm, gen_rscm2
+
+        gen = draw(st.sampled_from((gen_rscm, gen_rscm2)))
+        scm = gen(draw(st.integers(3, 6)), 2, Rng(draw(st.integers(0, 10**6))),
+                  cardinality=draw(st.sampled_from((2, 3))))
+        roots = scm.dag.roots()
+        internals = scm.dag.internals() or roots
+        queries = []
+        for _ in range(draw(st.integers(2, 6))):
+            worlds = draw(st.integers(2, 3))
+            shared = roots if draw(st.booleans()) else [r for r in roots if draw(st.booleans())]
+
+            def evidence(pool):
+                chosen = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+                return Evidence({v: draw(st.integers(0, scm.card(v) - 1)) for v in chosen})
+
+            q = CounterfactualQuery(
+                world_count=worlds,
+                shared_roots=frozenset(shared),
+                observations=(evidence(internals),) + (Evidence({}),) * (worlds - 1),
+                interventions=(Evidence({}),) + tuple(evidence(internals) for _ in range(worlds - 1)),
+                target=((worlds, draw(st.sampled_from(internals)), 0),),
+                mode=draw(st.sampled_from(("conditional", "joint"))),
+            )
+            queries.append((q, draw(st.sampled_from(ENGINES))))
+        return scm, queries
+
+    @settings(max_examples=40, deadline=None)
+    @given(query_streams())
+    def test_compiled_layouts_answer_like_a_fresh_scm(stream):
+        # one Scm answers a mix of layouts, interventions and engines; each
+        # answer must equal, bit for bit, that of a rebuilt Scm with nothing
+        # compiled yet
+        scm, queries = stream
+        for q, engine in queries:
+            if engine == "oracle" and _exogenous_space(scm, q) > 1 << 12:
+                engine = "ve"
+            assert _outcome(scm, q, engine) == _outcome(_rebuilt(scm), q, engine), engine
+except ImportError:  # hypothesis is an optional test dependency
+    pass
+
+
+def test_failed_query_leaves_later_answers_unchanged(adder):
+    q = gate_repair_query()
+    first = {engine: counterfactual(adder, q, engine) for engine in ENGINES}
+    bad_state = CounterfactualQuery(2, q.shared_roots, q.observations,
+                                    (Evidence({}), Evidence({"A": 7})), q.target)
+    conflicting = CounterfactualQuery(2, q.shared_roots, (Evidence({"X": 1}), Evidence({"X": 0})),
+                                      q.interventions, q.target)
+    for bad in (bad_state, conflicting):
+        for engine in ENGINES:
+            with pytest.raises(ModelError):
+                counterfactual(adder, bad, engine)
+        for engine in ENGINES:
+            assert counterfactual(adder, q, engine) == first[engine]
+            assert counterfactual(_rebuilt(adder), q, engine) == first[engine]
+
+
+def test_second_query_reuses_the_compiled_layout(monkeypatch):
+    import ctwin.inference as inf
+
+    calls = {"minfill_order": 0, "jointree_from_order": 0, "make_twin_jointree": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(inf, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(inf, name, counted)
+    scm = random_scm(5, n=8, param=2)
+    q = _twin_query(scm)
+
+    counterfactual(scm, q, "oracle")
+    assert calls == {"minfill_order": 0, "jointree_from_order": 0, "make_twin_jointree": 0}
+    counterfactual(scm, q, "ve")
+    assert calls == {"minfill_order": 1, "jointree_from_order": 0, "make_twin_jointree": 0}
+    counterfactual(scm, q, "jointree")
+    assert calls == {"minfill_order": 1, "jointree_from_order": 1, "make_twin_jointree": 1}
+    other = CounterfactualQuery(2, q.shared_roots, q.observations,
+                                (Evidence({}), Evidence({scm.dag.internals()[1]: 1})), q.target)
+    counterfactual(scm, other, "jointree")
+    counterfactual(scm, other, "ve")
+    assert calls == {"minfill_order": 1, "jointree_from_order": 1, "make_twin_jointree": 1}
+
+    fresh = random_scm(5, n=8, param=2)
+    counterfactual(fresh, q, "ve")
+    counterfactual(fresh, other, "ve")
+    assert calls["minfill_order"] == 2 and calls["jointree_from_order"] == 1
+
+
+def _twin_query(scm):
+    """A twin query on a random SCM: intervene on its first internal in
+    world 2, observe and target its last one."""
+    internals = scm.dag.internals()
+    return CounterfactualQuery(
+        world_count=2,
+        shared_roots=frozenset(scm.dag.roots()),
+        observations=(Evidence({internals[-1]: 0}), Evidence({})),
+        interventions=(Evidence({}), Evidence({internals[0]: 1})),
+        target=((2, internals[-1], 1),),
+        mode="joint",
+    )
