@@ -1,10 +1,13 @@
 """Golden CLI outputs captured at fixed seeds.
 
 Each file under tests/golden/ holds the exact bytes a command printed
-before a rewrite of the code it exercises: the thinning path (`thin
---twin`, `bench`), the minfill-driven commands (`order`, `jointree`,
-`twin-jointree`, `treewidth`, `infer`) and `infer` with every engine on a
-twin and an N-world query. Refactors must keep them byte-identical.
+before a rewrite of the code it exercises: the generators (`gen` for
+each generator, at cardinality 2 and 3), the world-network builders
+(`twin`, `nworld`, `mutilate`), the thinning path (`thin --twin`,
+`bench`), the minfill-driven commands (`order`, `jointree`,
+`twin-jointree`, `treewidth`, `infer`), `infer` with every engine on a
+twin and an N-world query, and `audit`. Refactors must keep them
+byte-identical.
 """
 
 from pathlib import Path
@@ -17,13 +20,23 @@ GOLDEN = Path(__file__).parent / "golden"
 NETS = ("rscm_n20_p3_seed1", "rnet_n20_p3_seed1")
 
 
-@pytest.mark.parametrize("name", NETS)
+GENERATORS = {"rscm": "rSCM", "rnet": "rNET", "rscm2": "rSCM2", "rnet2": "rNET2"}
+
+
+@pytest.mark.parametrize("name", NETS + ("rscm2_n20_p3_seed1", "rnet2_n20_p3_seed1"))
 def test_gen_matches_golden_network(tmp_path, name):
-    generator = {"rscm": "rSCM", "rnet": "rNET"}[name.split("_")[0]]
     out = tmp_path / "net.json"
-    assert main(["gen", "--generator", generator, "--n", "20", "--param", "3",
+    assert main(["gen", "--generator", GENERATORS[name.split("_")[0]], "--n", "20", "--param", "3",
                  "--seed", "1", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("prefix", GENERATORS)
+def test_gen_cardinality_three_matches_golden(tmp_path, prefix):
+    out = tmp_path / "net.json"
+    assert main(["gen", "--generator", GENERATORS[prefix], "--n", "12", "--param", "3",
+                 "--seed", "1", "--cardinality", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{prefix}_n12_p3_card3_seed1.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", NETS)
@@ -38,6 +51,38 @@ def test_bench_matches_golden(tmp_path):
     assert main(["bench", "--generator", "rSCM", "--n", "20", "--param", "3",
                  "--reps", "3", "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "bench_rscm_n20_p3_reps3_seed0.csv").read_bytes()
+
+
+def test_bench_rnet2_matches_golden(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--generator", "rNET2", "--n", "15", "--param", "3",
+                 "--reps", "3", "--seed", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "bench_rnet2_n15_p3_reps3_seed2.csv").read_bytes()
+
+
+def test_audit_matches_golden(tmp_path):
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--instances", "36", "--seed", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "audit_i36_seed3.json").read_bytes()
+
+
+# (golden file prefix, CLI arguments after --net); each runs on both networks
+WORLD_COMMANDS = {
+    "twin": ["twin"],
+    "nworld3_all": ["nworld", "--worlds", "3", "--shared", "all"],
+    "nworld3_v0v1v8": ["nworld", "--worlds", "3", "--shared", "v0,v1,v8"],
+    "nworld2": ["nworld", "--worlds", "2"],
+    "mutilate_v3v5": ["mutilate", "--do", "v3=1,v5=0"],
+}
+
+
+@pytest.mark.parametrize("name", NETS)
+@pytest.mark.parametrize("prefix", WORLD_COMMANDS)
+def test_world_command_matches_golden(tmp_path, prefix, name):
+    command, *rest = WORLD_COMMANDS[prefix]
+    out = tmp_path / "out.json"
+    assert main([command, "--net", str(GOLDEN / f"{name}.json"), *rest, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{prefix}_{name}.json").read_bytes()
 
 
 # (golden file prefix, CLI arguments after --net); each runs on both networks
