@@ -46,8 +46,8 @@ from .model import (
     scm_factors,
     validate,
 )
-from .randgen import GenConfig, Rng, gen_rnet, gen_rnet2, gen_rscm, gen_rscm2, parameterize, to_rscm
-from .thinning import ThinnedJointree, causal_width_report, replicate, thin, thinned_twin_separators
+from .randgen import Rng, gen_rnet, gen_rnet2, gen_rscm, gen_rscm2, parameterize, to_rscm
+from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
 from .worlds import (
     MoralGraph,
     WorldMap,
@@ -58,5 +58,4 @@ from .worlds import (
     twin_network,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

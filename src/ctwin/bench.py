@@ -6,23 +6,21 @@ the exhaustive tightness search on small DAGs.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
-from .elimination import EliminationOrder, _bits, _eliminate_bit, eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
+from .elimination import (EliminationOrder, _bits, _eliminate_bit, _lift_order, eliminate, exact_treewidth, minfill_order,
+                          n_world_order, twin_order)
 from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
-from .model import Dag, ModelError, network_to_dict
-from .randgen import Rng, gen_rnet, gen_rnet2, parameterize, to_rscm
+from .model import Dag, ModelError
+from .randgen import GENERATORS, Rng
 from .thinning import replicate, thin, thinned_twin_separators
-from .worlds import generalized_n_world, moral_graph, twin_name, world_name
+from .worlds import generalized_n_world, moral_graph, twin_dag, world_name
 
 METHODS = ("base_mf", "twin_alg1", "twin_mf", "base_mf_rls", "twin_thm3", "twin_mf_rls")
-
-GENERATORS = ("rNET", "rNET2", "rSCM", "rSCM2")
 
 
 @dataclass(frozen=True)
@@ -51,29 +49,9 @@ def _cell_seed(base_seed: int, n: int, param: int, rep: int) -> int:
 
 
 def generate_dag(generator: str, n: int, param: int, seed: int) -> Dag:
-    rng = Rng(seed)
-    if generator == "rNET":
-        return gen_rnet(n, param, rng)
-    if generator == "rNET2":
-        return gen_rnet2(n, param, rng)
-    if generator == "rSCM":
-        return to_rscm(gen_rnet(n, param, rng))
-    if generator == "rSCM2":
-        return to_rscm(gen_rnet2(n, param, rng))
-    raise ModelError(f"unknown generator {generator!r}")
-
-
-def twin_dag(base: Dag) -> Dag:
-    roots = set(base.roots())
-    nodes = list(base.nodes)
-    parents = dict(base.parents)
-    for v in base.nodes:
-        if v in roots:
-            continue
-        d = twin_name(v)
-        nodes.append(d)
-        parents[d] = tuple(p if p in roots else twin_name(p) for p in base.parents[v])
-    return Dag(tuple(nodes), parents)
+    if generator not in GENERATORS:
+        raise ModelError(f"unknown generator {generator!r}")
+    return GENERATORS[generator](n, param, Rng(seed))
 
 
 def instance_widths(dag: Dag, chain_bound: int) -> dict[str, tuple[int, float]]:
@@ -179,6 +157,10 @@ def _std(xs) -> float:
 
 # ---------------------------------------------------------------- audits
 
+def _dag_doc(dag: Dag) -> dict:
+    return {"nodes": list(dag.nodes), "parents": {v: list(ps) for v, ps in dag.parents.items()}}
+
+
 def _order_width(dag: Dag, order: EliminationOrder) -> int:
     return eliminate(moral_graph(dag), order).width
 
@@ -193,10 +175,7 @@ def audit_instance(dag: Dag, chain_bound: int, rng: Rng) -> list[dict]:
     wt = _order_width(tdag, twin_order(order, dag))
 
     def flag(bound, observed, limit):
-        violations.append(
-            {"bound": bound, "observed": observed, "limit": limit,
-             "dag": {"nodes": list(dag.nodes), "parents": {v: list(ps) for v, ps in dag.parents.items()}}}
-        )
+        violations.append({"bound": bound, "observed": observed, "limit": limit, "dag": _dag_doc(dag)})
 
     if wt > 2 * w + 1:
         flag("cor1: twin order width <= 2w+1", wt, 2 * w + 1)
@@ -225,26 +204,12 @@ def audit_instance(dag: Dag, chain_bound: int, rng: Rng) -> list[dict]:
             else:
                 shared = [r for r in roots if rng.below(2)]
             nw_order = n_world_order(order, dag, shared, n_worlds)
-            ndag = _n_world_dag(dag, shared, n_worlds)
+            ndag = generalized_n_world(dag, set(dag.nodes) - set(shared), n_worlds)
             wn = _order_width(ndag, nw_order)
             if wn > n_worlds * (w + 1) - 1:
                 flag(f"thm4: N-world order width <= N(w+1)-1 (N={n_worlds}, {mode})",
                      wn, n_worlds * (w + 1) - 1)
     return violations
-
-
-def _n_world_dag(dag: Dag, shared, n_worlds: int) -> Dag:
-    shared = set(shared)
-
-    def name(v, j):
-        return v if v in shared else world_name(v, j)
-
-    nodes, parents = [], {}
-    for v in dag.nodes:
-        for j in range(1, n_worlds + 1) if v not in shared else (1,):
-            nodes.append(name(v, j))
-            parents[name(v, j)] = tuple(name(p, j) for p in dag.parents[v])
-    return Dag(tuple(nodes), parents)
 
 
 def audit_generalized(dag: Dag, n_worlds: int, rng: Rng) -> list[dict]:
@@ -263,18 +228,12 @@ def audit_generalized(dag: Dag, n_worlds: int, rng: Rng) -> list[dict]:
     gdag = generalized_n_world(dag, dup, n_worlds, cross)
     order = minfill_order(moral_graph(dag))
     w = _order_width(dag, order)
-    seq = []
-    for v in order.sequence:
-        if v in set(dup):
-            seq.extend(world_name(v, j) for j in range(1, n_worlds + 1))
-        else:
-            seq.append(v)
-    wn = _order_width(gdag, EliminationOrder(tuple(seq)))
+    wn = _order_width(gdag, _lift_order(order, set(dup), n_worlds, world_name))
     if wn > n_worlds * (w + 1) - 1:
         return [{
             "bound": f"appendix-d: generalized N-world width <= N(w+1)-1 (N={n_worlds})",
             "observed": wn, "limit": n_worlds * (w + 1) - 1,
-            "dag": {"nodes": list(dag.nodes), "parents": {v: list(ps) for v, ps in dag.parents.items()}},
+            "dag": _dag_doc(dag),
             "duplicated": sorted(dup), "cross_edges": cross,
         }]
     return []

@@ -12,13 +12,13 @@ import json
 import sys
 
 from .bench import SuiteConfig, find_order_tightness, find_treewidth_tightness, run_bound_audit, run_suite
-from .elimination import EliminationOrder, eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
+from .elimination import eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
 from .inference import CounterfactualQuery, counterfactual
 from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
 from .model import Evidence, InvariantError, ModelError, load_network, network_to_dict, validate
-from .randgen import Rng, gen_rnet, gen_rnet2, parameterize, to_rscm
+from .randgen import GENERATORS, Rng, parameterize
 from .thinning import replicate, thin, thinned_twin_separators
-from .worlds import moral_graph, mutilate, n_world_network, twin_network
+from .worlds import moral_graph, mutilate, n_world_network, twin_dag, twin_network
 
 
 def _emit(doc, out_path):
@@ -68,15 +68,7 @@ def _base_jointree(scm):
 
 def cmd_gen(a):
     rng = Rng(a.seed)
-    if a.generator == "rNET":
-        dag = gen_rnet(a.n, a.param, rng)
-    elif a.generator == "rNET2":
-        dag = gen_rnet2(a.n, a.param, rng)
-    elif a.generator == "rSCM":
-        dag = to_rscm(gen_rnet(a.n, a.param, rng))
-    else:
-        dag = to_rscm(gen_rnet2(a.n, a.param, rng))
-    scm = parameterize(dag, rng, a.cardinality)
+    scm = parameterize(GENERATORS[a.generator](a.n, a.param, rng), rng, a.cardinality)
     _emit(network_to_dict(scm), a.out)
 
 
@@ -85,10 +77,13 @@ def cmd_twin(a):
     _emit(network_to_dict(net, wmap), a.out)
 
 
+def _shared(scm, spec: str) -> tuple[str, ...]:
+    return scm.dag.roots() if spec == "all" else tuple(spec.split(","))
+
+
 def cmd_nworld(a):
     scm = _load(a.net)
-    shared = scm.dag.roots() if a.shared == "all" else tuple(a.shared.split(","))
-    net, wmap = n_world_network(scm, shared, a.worlds)
+    net, wmap = n_world_network(scm, _shared(scm, a.shared), a.worlds)
     _emit(network_to_dict(net, wmap), a.out)
 
 
@@ -102,17 +97,14 @@ def cmd_order(a):
     order = minfill_order(moral_graph(scm.dag))
     doc = {"sequence": list(order.sequence),
            "width": eliminate(moral_graph(scm.dag), order).width}
-    if a.lift == "twin":
-        lifted = twin_order(order, scm.dag)
-        tnet, _ = twin_network(scm)
-        doc["lifted"] = {"sequence": list(lifted.sequence),
-                         "width": eliminate(moral_graph(tnet.dag), lifted).width}
-    elif a.lift == "nworld":
-        shared = scm.dag.roots() if a.shared == "all" else tuple(a.shared.split(","))
-        lifted = n_world_order(order, scm.dag, shared, a.worlds)
-        net, _ = n_world_network(scm, shared, a.worlds)
-        doc["lifted"] = {"sequence": list(lifted.sequence),
-                         "width": eliminate(moral_graph(net.dag), lifted).width}
+    if a.lift:
+        if a.lift == "twin":
+            lifted, net = twin_order(order, scm.dag), twin_dag(scm.dag)
+        else:
+            shared = _shared(scm, a.shared)
+            lifted = n_world_order(order, scm.dag, shared, a.worlds)
+            net = n_world_network(scm, shared, a.worlds)[0].dag
+        doc["lifted"] = {"sequence": list(lifted.sequence), "width": eliminate(moral_graph(net), lifted).width}
     _emit(doc, a.out)
 
 
@@ -231,16 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p = sub.add_parser("gen", help="generate a random fully specified SCM")
-    p.add_argument("--generator", choices=("rNET", "rNET2", "rSCM", "rSCM2"), default="rSCM")
+    p.add_argument("--generator", choices=tuple(GENERATORS), default="rSCM")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", type=int, required=True)
     p.add_argument("--cardinality", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_gen)
 
@@ -295,12 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("bench", help="run the width experiment suite (CSV)")
-    p.add_argument("--generator", choices=("rNET", "rNET2", "rSCM", "rSCM2"), required=True)
+    p.add_argument("--generator", choices=tuple(GENERATORS), required=True)
     p.add_argument("--n", required=True, help="comma-separated node counts")
     p.add_argument("--param", required=True, help="comma-separated p/d values")
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--chain-bound", type=int, default=10)
     p.add_argument("--timings", action="store_true")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_bench)
 
@@ -309,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain-bound", type=int, default=10)
     p.add_argument("--tightness", type=int, default=0,
                    help="also run the tightness searches up to this node count")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_audit)
 

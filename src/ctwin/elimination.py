@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 
 from .model import Dag, ModelError
-from .worlds import MoralGraph, twin_name, world_name
+from .worlds import MoralGraph, _twin_copy, world_name
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,21 @@ def minfill_order(g: MoralGraph) -> EliminationOrder:
     return EliminationOrder(tuple(seq))
 
 
-def twin_order(order: EliminationOrder, base: Dag) -> EliminationOrder:
-    """Replace each non-root X in the order by X, X'; roots appear once."""
-    roots = set(base.roots())
+def _lift_order(order: EliminationOrder, duplicated, n_worlds: int, name) -> EliminationOrder:
+    """Replace each duplicated X by its copies name(X, 1..n_worlds),
+    consecutively; every other variable appears once."""
     seq = []
     for v in order.sequence:
-        seq.append(v)
-        if v not in roots:
-            seq.append(twin_name(v))
+        if v in duplicated:
+            seq.extend(name(v, j) for j in range(1, n_worlds + 1))
+        else:
+            seq.append(v)
     return EliminationOrder(tuple(seq))
+
+
+def twin_order(order: EliminationOrder, base: Dag) -> EliminationOrder:
+    """Replace each non-root X in the order by X, X'; roots appear once."""
+    return _lift_order(order, set(order.sequence) - set(base.roots()), 2, _twin_copy)
 
 
 def n_world_order(order: EliminationOrder, base: Dag, shared_roots, n_worlds: int) -> EliminationOrder:
@@ -117,13 +123,7 @@ def n_world_order(order: EliminationOrder, base: Dag, shared_roots, n_worlds: in
     bad = shared - roots
     if bad:
         raise ModelError(f"shared set contains non-root ids: {sorted(bad)}")
-    seq = []
-    for v in order.sequence:
-        if v in shared:
-            seq.append(v)
-        else:
-            seq.extend(world_name(v, j) for j in range(1, n_worlds + 1))
-    return EliminationOrder(tuple(seq))
+    return _lift_order(order, set(order.sequence) - shared, n_worlds, world_name)
 
 
 def exact_treewidth(g: MoralGraph, node_limit: int = 12) -> int:

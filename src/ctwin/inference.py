@@ -13,10 +13,11 @@ from math import prod
 import numpy as np
 
 from .elimination import EliminationOrder, eliminate, minfill_order, n_world_order, twin_order
-from .jointree import Jointree, SeparatorAssignment, classical_separators, edge_key, jointree_from_order, make_twin_jointree
+from .jointree import (Jointree, SeparatorAssignment, classical_separators, edge_key, jointree_from_order,
+                       make_twin_jointree, rooted)
 from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
 from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
-from .worlds import WorldMap, moral_graph, mutilate, n_world_network, twin_network
+from .worlds import moral_graph, mutilate, n_world_network, twin_network
 
 
 class ZeroEvidenceError(ModelError):
@@ -196,13 +197,7 @@ class _Schedule:
 def _schedule(jt: Jointree, separators: dict[tuple[str, str], frozenset[str]], method: str) -> _Schedule:
     sink = jt.nodes[0]
     nb = jt.neighbors()
-    parent: dict[str, str | None] = {sink: None}
-    order = [sink]
-    for v in order:
-        for u in nb[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    order, parent = rooted(nb, sink)
     steps = tuple((v, parent[v], tuple(u for u in nb[v] if u != parent[v]),
                    separators[edge_key(v, parent[v])]) for v in reversed(order[1:]))
     return _Schedule(jt.hosts, steps, sink, tuple(nb[sink]), method)

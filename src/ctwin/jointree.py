@@ -6,11 +6,11 @@ conversion, and the direct twin separator lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .elimination import EliminationOrder, eliminate
 from .model import Dag, InvariantError, ModelError
-from .worlds import moral_graph, twin_name
+from .worlds import _twin_structure, moral_graph, twin_name
 
 
 def edge_key(a: str, b: str) -> tuple[str, str]:
@@ -59,16 +59,8 @@ class Jointree:
         nb = self.neighbors()
         if len(self.edges) != len(self.nodes) - 1:
             raise ModelError("tree must have n-1 edges")
-        if self.nodes:
-            seen = {self.nodes[0]}
-            stack = [self.nodes[0]]
-            while stack:
-                for u in nb[stack.pop()]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != len(self.nodes):
-                raise ModelError("tree is not connected")
+        if self.nodes and len(rooted(nb, self.nodes[0])[0]) != len(self.nodes):
+            raise ModelError("tree is not connected")
         lf = self.leaf_family()
         for leaf in lf:
             if len(nb[leaf]) > 1:
@@ -79,6 +71,20 @@ class Jointree:
         for child in self.families:
             if not self.hosts.get(child):
                 raise ModelError(f"family of {child!r} has no host")
+
+
+def rooted(nb, root: str) -> tuple[list[str], dict[str, str | None]]:
+    """Breadth-first traversal of the graph `nb` (node -> neighbours, taken
+    in the given order) from root: the nodes reached, in visit order, and
+    each one's parent in the traversal tree (None at root)."""
+    parent: dict[str, str | None] = {root: None}
+    order = [root]
+    for v in order:
+        for u in nb[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 @dataclass(frozen=True)
@@ -125,13 +131,7 @@ def classical_separators(jt: Jointree) -> SeparatorAssignment:
         return SeparatorAssignment({}, {}, 0, 0.0)
     hosted = {leaf: jt.families[child] for leaf, child in lf.items()}
     root = jt.nodes[0]
-    parent: dict[str, str | None] = {root: None}
-    order = [root]
-    for v in order:
-        for u in nb[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    order, parent = rooted(nb, root)
     below: dict[str, frozenset[str]] = {}
     for v in reversed(order):
         s = hosted.get(v, frozenset())
@@ -190,45 +190,36 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
         edges.append(edge_key(leaf, cname[i]))
         hosts[v] = (leaf,)
 
-    # prune childless skeleton leaves; hosts must be the only leaves
+    # prune childless skeleton leaves; hosts must be the only leaves. A
+    # node is pushed when its degree first reaches 1, so at most once.
     host_leaves = {leaf for hs in hosts.values() for leaf in hs}
-    nodes_set = set(nodes)
-    edge_set = set(edges)
-    changed = True
-    while changed and len(nodes_set) > 1:
-        changed = False
-        deg: dict[str, int] = {v: 0 for v in nodes_set}
-        for a, b in edge_set:
-            deg[a] += 1
-            deg[b] += 1
-        for v in list(nodes_set):
-            if deg[v] <= 1 and v not in host_leaves and len(nodes_set) > 1:
-                nodes_set.remove(v)
-                edge_set = {e for e in edge_set if v not in e}
-                changed = True
-    nodes = [v for v in nodes if v in nodes_set]
-    edges = sorted(edge_set)
+    nb: dict[str, list[str]] = {v: [] for v in nodes}
+    for a, b in edges:
+        nb[a].append(b)
+        nb[b].append(a)
+    deg = {v: len(us) for v, us in nb.items()}
+    stack = [v for v in nodes if deg[v] <= 1 and v not in host_leaves]
+    pruned: set[str] = set()
+    while stack and len(nodes) - len(pruned) > 1:
+        v = stack.pop()
+        pruned.add(v)
+        for u in nb[v]:
+            if u not in pruned:
+                deg[u] -= 1
+                if deg[u] == 1 and u not in host_leaves:
+                    stack.append(u)
+    nodes = [v for v in nodes if v not in pruned]
+    edges = sorted(e for e in edges if e[0] not in pruned and e[1] not in pruned)
     jt = Jointree(tuple(nodes), tuple(edges), hosts, families)
     jt.check()
     return jt
-
-
-def _twin_families(base: Dag) -> dict[str, frozenset[str]]:
-    roots = set(base.roots())
-    fams = {v: frozenset((v,) + base.parents[v]) for v in base.nodes}
-    for v in base.nodes:
-        if v not in roots:
-            fams[twin_name(v)] = frozenset(
-                [twin_name(v)] + [p if p in roots else twin_name(p) for p in base.parents[v]]
-            )
-    return fams
 
 
 def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     """Convert a base jointree into a twin jointree by duplicating the
     maximal subtrees whose leaves host only internal families."""
     roots = set(base.roots())
-    families = _twin_families(base)
+    families = {v: frozenset((v,) + ps) for v, ps in _twin_structure(base)[1].items()}
     var_dup = {v: (v if v in roots else twin_name(v)) for v in base.nodes}
 
     lf = jt.leaf_family()
@@ -243,10 +234,7 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
-    nb = {v: set() for v in nodes}
-    for a, b in edges:
-        nb[a].add(b)
-        nb[b].add(a)
+    nb = jt.neighbors()
 
     if len(nodes) == 2:
         # no internal tree node to serve as the initial root
@@ -257,27 +245,15 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
         nb = {a: {aux}, b: {aux}, aux: {a, b}}
 
     root = next(v for v in nodes if len(nb[v]) > 1)
-    parent: dict[str, str | None] = {root: None}
-    order = [root]
-    for v in order:
-        for u in sorted(nb[v]):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    children = {v: [u for u in sorted(nb[v]) if parent.get(u) == v] for v in nodes}
+    snb = {v: sorted(us) for v, us in nb.items()}
+    order, parent = rooted(snb, root)
+    children = {v: [u for u in snb[v] if parent.get(u) == v] for v in nodes}
+    kinds: dict[str, set[bool]] = {}  # v -> {whether a host leaf below v hosts a root}
+    for v in reversed(order):
+        kinds[v] = set().union(*(kinds[k] for k in children[v])) if children[v] else {lf[v] in roots}
 
     edge_class: dict[tuple[str, str], str] = {}
     duplicate_base: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def leaves_below(r):
-        out, stack = [], [r]
-        while stack:
-            v = stack.pop()
-            kids = children[v]
-            if not kids:
-                out.append(v)
-            stack.extend(kids)
-        return out
 
     def duplicate_subtree(r, p):
         sub = [r]
@@ -304,11 +280,9 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
                 hosts.setdefault(twin_name(child), []).append(dup[v])
 
     def visit(r, p):
-        ls = leaves_below(r) if children[r] else [r]
-        kinds = {lf[l] in roots for l in ls}
-        if kinds == {True}:
+        if kinds[r] == {True}:
             return
-        if kinds == {False}:
+        if kinds[r] == {False}:
             duplicate_subtree(r, p)
             return
         for k in children[r]:

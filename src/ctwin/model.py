@@ -53,11 +53,6 @@ class Dag:
     def of(nodes, parents) -> "Dag":
         return Dag(tuple(nodes), {v: tuple(parents.get(v, ())) for v in nodes})
 
-    def parents_of(self, v: str) -> tuple[str, ...]:
-        if v not in self.parents:
-            raise ModelError(f"unknown variable {v!r}")
-        return self.parents[v]
-
     def children_of(self, v: str) -> tuple[str, ...]:
         return tuple(c for c in self.nodes if v in self.parents[c])
 
@@ -72,21 +67,27 @@ class Dag:
 
     def topological_order(self) -> list[str] | None:
         """Kahn's algorithm; None if the graph is cyclic."""
-        indeg = {v: len(self.parents[v]) for v in self.nodes}
-        children: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for v in self.nodes:
-            for p in self.parents[v]:
-                children[p].append(v)
-        ready = [v for v in self.nodes if indeg[v] == 0]
-        out = []
-        while ready:
-            v = ready.pop()
-            out.append(v)
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        return out if len(out) == len(self.nodes) else None
+        return _topological_order(self.nodes, self.parents)
+
+
+def _topological_order(nodes, parents: dict[str, tuple[str, ...]]) -> list[str] | None:
+    """Kahn's algorithm over known-good node and parent lists; None if
+    they contain a directed cycle."""
+    indeg = {v: len(parents[v]) for v in nodes}
+    children: dict[str, list[str]] = {v: [] for v in nodes}
+    for v in nodes:
+        for p in parents[v]:
+            children[p].append(v)
+    ready = [v for v in nodes if indeg[v] == 0]
+    out = []
+    while ready:
+        v = ready.pop()
+        out.append(v)
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return out if len(out) == len(nodes) else None
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,6 @@ class Variable:
     cardinality: int
     kind: str  # "exogenous-root" | "endogenous-internal"
     functional: bool
-
-
-@dataclass(frozen=True)
-class Family:
-    child: str
-    members: frozenset[str]
-
-
-def family_of(dag: Dag, v: str) -> Family:
-    return Family(v, frozenset((v,) + dag.parents_of(v)))
 
 
 @dataclass(frozen=True)

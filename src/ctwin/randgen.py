@@ -8,9 +8,8 @@ from any language, not just this Python build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import Dag, ModelError, Scm, Variable
+from .jointree import rooted
+from .model import Dag, ModelError, Scm, Variable, _topological_order
 
 _M64 = (1 << 64) - 1
 
@@ -68,14 +67,6 @@ class Rng:
         return pool[:k]
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    nodes: int
-    param: int  # max parents (rNET) or max degree (rNET2)
-    seed: int
-    cardinality: int = 2
-
-
 def _names(n: int) -> list[str]:
     return [f"v{i}" for i in range(n)]
 
@@ -112,37 +103,12 @@ def to_rscm(dag: Dag) -> Dag:
 
 
 def _connected(parents: dict[str, tuple[str, ...]], names: list[str]) -> bool:
-    adj: dict[str, set[str]] = {v: set() for v in names}
+    adj: dict[str, list[str]] = {v: [] for v in names}
     for v, ps in parents.items():
         for p in ps:
-            adj[v].add(p)
-            adj[p].add(v)
-    seen = {names[0]}
-    stack = [names[0]]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(names)
-
-
-def _acyclic(parents: dict[str, tuple[str, ...]], names: list[str]) -> bool:
-    indeg = {v: len(parents[v]) for v in names}
-    children: dict[str, list[str]] = {v: [] for v in names}
-    for v in names:
-        for p in parents[v]:
-            children[p].append(v)
-    ready = [v for v in names if indeg[v] == 0]
-    done = 0
-    while ready:
-        v = ready.pop()
-        done += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return done == len(names)
+            adj[v].append(p)
+            adj[p].append(v)
+    return len(rooted(adj, names[0])[0]) == len(names)
 
 
 def gen_rnet2(n: int, max_degree: int, rng: Rng) -> Dag:
@@ -179,7 +145,7 @@ def gen_rnet2(n: int, max_degree: int, rng: Rng) -> Dag:
                 continue
             trial = dict(parents)
             trial[b] = parents[b] + (a,)
-            if _acyclic(trial, names):
+            if _topological_order(names, trial) is not None:
                 parents = trial
                 degree[a] += 1
                 degree[b] += 1
@@ -213,3 +179,13 @@ def gen_rscm(n: int, max_parents: int, rng: Rng, cardinality: int = 2) -> Scm:
 
 def gen_rscm2(n: int, max_degree: int, rng: Rng, cardinality: int = 2) -> Scm:
     return parameterize(to_rscm(gen_rnet2(n, max_degree, rng)), rng, cardinality)
+
+
+# Base DAG generators by name, each called as (n, param, rng); param is
+# the max parent count (rNET, rSCM) or the max degree (rNET2, rSCM2).
+GENERATORS = {
+    "rNET": gen_rnet,
+    "rNET2": gen_rnet2,
+    "rSCM": lambda n, param, rng: to_rscm(gen_rnet(n, param, rng)),
+    "rSCM2": lambda n, param, rng: to_rscm(gen_rnet2(n, param, rng)),
+}

@@ -1,6 +1,5 @@
 """Family replication, the two separator-thinning rules applied to
-fixpoint, lifting thinned base separators to thinned twin separators,
-and the width report for the replicate-and-thin pipeline.
+fixpoint, and lifting thinned base separators to thinned twin separators.
 """
 
 from __future__ import annotations
@@ -8,14 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import count
 
-from .elimination import EliminationOrder
 from .jointree import (
     Jointree,
     SeparatorAssignment,
     _assemble,
     classical_separators,
     edge_key,
-    jointree_from_order,
     lift_separators,
 )
 from .model import Dag, ModelError
@@ -37,7 +34,6 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
         raise ModelError("chain_bound must be >= 0")
     functional = set(dag.internals() if functional is None else functional)
     topo = dag.topological_order()
-    assert topo is not None
 
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
@@ -216,34 +212,3 @@ def thinned_twin_separators(base: ThinnedJointree, twin_jt: Jointree) -> Thinned
         var_dup[v] for v in base.functional_set if v in var_dup
     )
     return ThinnedJointree(twin_jt, assignment, functional, ())
-
-
-@dataclass(frozen=True)
-class WidthReport:
-    classical_width: int
-    replicated_width: int
-    thinned_width: int
-    normalized_width: float
-    thinned_normalized_width: float
-
-
-def causal_width_report(
-    dag: Dag,
-    functional,
-    chain_bound: int,
-    heuristic_order: EliminationOrder,
-) -> WidthReport:
-    """Widths along the jointree -> replicate -> thin pipeline; exposes
-    all three so the w < w_t <= w_r pathology stays observable."""
-    jt = jointree_from_order(dag, heuristic_order)
-    base = classical_separators(jt)
-    rep = replicate(jt, dag, chain_bound, functional) if chain_bound > 0 else jt
-    rep_width = classical_separators(rep).width if chain_bound > 0 else base.width
-    thinned = thin(rep, functional)
-    return WidthReport(
-        classical_width=base.width,
-        replicated_width=rep_width,
-        thinned_width=thinned.thinned.width,
-        normalized_width=base.normalized_width,
-        thinned_normalized_width=thinned.thinned.normalized_width,
-    )

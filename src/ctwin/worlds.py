@@ -75,70 +75,88 @@ class WorldMap:
         }
 
 
+def _twin_copy(v: str, j: int) -> str:
+    return v if j == 1 else twin_name(v)
+
+
+def _world_structure(dag: Dag, duplicated, n_worlds: int, name, cross_edges=()):
+    """The one construction behind every world network. Each variable in
+    `duplicated` gets the copy name(v, j) in each world j = 1..n_worlds, its
+    copies next to each other in base node order; every other variable
+    appears once under its own id and is shared by all worlds. A copy's
+    parents are its parents' copies in the same world, and a cross edge
+    (v, i, j) adds v's world-i copy as a parent of its world-j copy.
+
+    Returns the nodes as (base id, world, id) triples and their parents."""
+
+    def copy(v, j):
+        return name(v, j) if v in duplicated else v
+
+    nodes, parents = [], {}
+    for v in dag.nodes:
+        for j in range(1, n_worlds + 1) if v in duplicated else (1,):
+            nid = copy(v, j)
+            nodes.append((v, j, nid))
+            parents[nid] = tuple(copy(p, j) for p in dag.parents[v])
+    for v, i, j in cross_edges:
+        if v not in duplicated:
+            raise ModelError(f"cross edge on non-duplicated variable {v!r}")
+        if not (1 <= i < j <= n_worlds):
+            raise ModelError(f"cross edge worlds must satisfy i < j: {(i, j)}")
+        parents[copy(v, j)] += (copy(v, i),)
+    return nodes, parents
+
+
+def _twin_structure(dag: Dag):
+    """Twin nodes: the whole base network, then the X' copies of its
+    internals in base order."""
+    nodes, parents = _world_structure(dag, set(dag.internals()), 2, _twin_copy)
+    nodes.sort(key=lambda t: t[1])  # stable: world 1, then world 2
+    return nodes, parents
+
+
+def _world_network(scm: Scm, nodes, parents, n_worlds: int, shared: frozenset[str]) -> tuple[Scm, WorldMap]:
+    """The network over a world structure: each copy takes the variable,
+    table and state names of its base variable."""
+    variables, tables, cpts, state_names = {}, {}, {}, {}
+    dup = {}
+    for v, j, nid in nodes:
+        var = scm.variables[v]
+        variables[nid] = var if nid == v else Variable(nid, var.cardinality, var.kind, var.functional)
+        if v in scm.root_tables:
+            tables[nid] = scm.root_tables[v]
+        else:
+            cpts[nid] = scm.internal_cpts[v]
+        if v in scm.state_names:
+            state_names[nid] = scm.state_names[v]
+        for w in range(1, n_worlds + 1) if v in shared else (j,):
+            dup[(v, w)] = nid
+    dag = Dag(tuple(nid for _, _, nid in nodes), parents)
+    return Scm(dag, variables, tables, cpts, state_names), WorldMap(n_worlds, shared, dup)
+
+
+def twin_dag(base: Dag) -> Dag:
+    """Structure of the twin network of `base`."""
+    nodes, parents = _twin_structure(base)
+    return Dag(tuple(nid for _, _, nid in nodes), parents)
+
+
 def twin_network(scm: Scm) -> tuple[Scm, WorldMap]:
     """Duplicate every internal variable; roots are shared (Def 1 style)."""
-    dag = scm.dag
-    roots = set(dag.roots())
-    nodes = list(dag.nodes)
-    parents = {v: dag.parents[v] for v in dag.nodes}
-    variables = dict(scm.variables)
-    cpts = dict(scm.internal_cpts)
-    state_names = dict(scm.state_names)
-    dup = {}
-    for v in dag.nodes:
-        for w in (1, 2):
-            dup[(v, w)] = v
-    for v in dag.nodes:
-        if v in roots:
-            continue
-        d = twin_name(v)
-        nodes.append(d)
-        parents[d] = tuple(p if p in roots else twin_name(p) for p in dag.parents[v])
-        variables[d] = Variable(d, scm.card(v), "endogenous-internal", True)
-        cpts[d] = scm.internal_cpts[v]
-        if v in state_names:
-            state_names[d] = state_names[v]
-        dup[(v, 2)] = d
-    out = Scm(Dag(tuple(nodes), parents), variables, dict(scm.root_tables), cpts, state_names)
-    return out, WorldMap(2, frozenset(roots), dup)
+    return _world_network(scm, *_twin_structure(scm.dag), 2, frozenset(scm.dag.roots()))
 
 
 def n_world_network(scm: Scm, shared_roots, n_worlds: int) -> tuple[Scm, WorldMap]:
     """Share the roots in `shared_roots` across worlds and duplicate every
     other variable N times (Def 3 style)."""
-    dag = scm.dag
-    roots = set(dag.roots())
-    shared = set(shared_roots)
-    bad = shared - roots
+    shared = frozenset(shared_roots)
+    bad = shared - set(scm.dag.roots())
     if bad:
         raise ModelError(f"shared set contains non-root ids: {sorted(bad)}")
     if n_worlds < 1:
         raise ModelError("world count must be >= 1")
-
-    def name(v, j):
-        return v if v in shared else world_name(v, j)
-
-    nodes, parents = [], {}
-    variables, tables, cpts, state_names = {}, {}, {}, {}
-    dup = {}
-    for v in dag.nodes:
-        worlds = (1,) if v in shared else tuple(range(1, n_worlds + 1))
-        for j in range(1, n_worlds + 1):
-            dup[(v, j)] = name(v, j)
-        for j in worlds:
-            nid = name(v, j)
-            nodes.append(nid)
-            parents[nid] = tuple(name(p, j) for p in dag.parents[v])
-            var = scm.variables[v]
-            variables[nid] = Variable(nid, var.cardinality, var.kind, var.functional)
-            if v in scm.root_tables:
-                tables[nid] = scm.root_tables[v]
-            else:
-                cpts[nid] = scm.internal_cpts[v]
-            if v in scm.state_names:
-                state_names[nid] = scm.state_names[v]
-    out = Scm(Dag(tuple(nodes), parents), variables, tables, cpts, state_names)
-    return out, WorldMap(n_worlds, frozenset(shared), dup)
+    nodes, parents = _world_structure(scm.dag, set(scm.dag.nodes) - shared, n_worlds, world_name)
+    return _world_network(scm, nodes, parents, n_worlds, shared)
 
 
 def generalized_n_world(dag: Dag, duplicated, n_worlds: int, cross_edges=()) -> Dag:
@@ -150,24 +168,8 @@ def generalized_n_world(dag: Dag, duplicated, n_worlds: int, cross_edges=()) -> 
     unknown = dup - set(dag.nodes)
     if unknown:
         raise ModelError(f"unknown duplicated ids: {sorted(unknown)}")
-
-    def name(v, j):
-        return world_name(v, j) if v in dup else v
-
-    nodes, parents = [], {}
-    for v in dag.nodes:
-        worlds = tuple(range(1, n_worlds + 1)) if v in dup else (1,)
-        for j in worlds:
-            nid = name(v, j)
-            nodes.append(nid)
-            parents[nid] = tuple(name(p, j) for p in dag.parents[v])
-    for v, i, j in cross_edges:
-        if v not in dup:
-            raise ModelError(f"cross edge on non-duplicated variable {v!r}")
-        if not (1 <= i < j <= n_worlds):
-            raise ModelError(f"cross edge worlds must satisfy i < j: {(i, j)}")
-        parents[name(v, j)] = parents[name(v, j)] + (name(v, i),)
-    return Dag(tuple(nodes), parents)
+    nodes, parents = _world_structure(dag, dup, n_worlds, world_name, cross_edges)
+    return Dag(tuple(nid for _, _, nid in nodes), parents)
 
 
 def mutilate(scm: Scm, interventions: Evidence) -> Scm:

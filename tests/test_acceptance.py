@@ -30,9 +30,9 @@ from ctwin.bench import (
     generate_dag,
     run_bound_audit,
     run_suite,
-    twin_dag,
 )
 from ctwin.randgen import Rng, gen_rnet, parameterize, to_rscm
+from ctwin.worlds import twin_dag
 
 from conftest import half_adder
 

@@ -16,10 +16,10 @@ from ctwin.bench import (
     instance_widths,
     run_bound_audit,
     run_suite,
-    twin_dag,
 )
 from ctwin.cli import main
 from ctwin.randgen import Rng
+from ctwin.worlds import twin_dag
 
 from conftest import half_adder
 
@@ -217,6 +217,34 @@ def test_cli_bad_input_exit_one(tmp_path, capsys):
     rc, _ = run_cli(capsys, "mutilate", "--net", str(tmp_path / "missing.json"),
                     "--do", "not-an-assignment")
     assert rc == 1
+
+
+# A flag no subcommand reads is not accepted: --format nowhere, --workers
+# only on bench, --seed only on gen, bench and audit.
+REMOVED_FLAGS = {
+    "twin-format": ["twin", "--net", "net.json", "--format", "json"],
+    "infer-workers": ["infer", "--net", "net.json", "--query", "q.json", "--workers", "2"],
+    "jointree-seed": ["jointree", "--net", "net.json", "--seed", "3"],
+    "bench-format": ["bench", "--generator", "rNET", "--n", "6", "--param", "2", "--format", "csv"],
+    "gen-workers": ["gen", "--n", "6", "--param", "2", "--workers", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS.values(), ids=REMOVED_FLAGS)
+def test_cli_removed_flag_is_a_usage_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+def test_cli_seed_and_workers_where_read(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["gen", "--n", "6", "--param", "2", "--seed", "3", "--out", out]) == 0
+    assert main(["audit", "--instances", "2", "--seed", "4", "--out", out]) == 0
+    assert main(["bench", "--generator", "rNET", "--n", "6", "--param", "2", "--reps", "1",
+                 "--seed", "5", "--workers", "1", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_bool_cpt_entry_exit_one(tmp_path, capsys):

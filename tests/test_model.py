@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctwin import Dag, Evidence, Factor, ModelError, Variable, load_network, save_network, scm_factors, validate
-from ctwin.model import family_of, network_from_dict, network_to_dict
+from ctwin.model import network_from_dict, network_to_dict
 
 from conftest import half_adder
 
@@ -27,7 +27,6 @@ def test_dag_accessors():
     assert dag.internals() == ("c",)
     assert dag.children_of("a") == ("c",)
     assert set(dag.edges()) == {("a", "c"), ("b", "c")}
-    assert family_of(dag, "c").members == {"a", "b", "c"}
     topo = dag.topological_order()
     assert topo.index("a") < topo.index("c")
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from ctwin import (
     Dag,
     ModelError,
-    causal_width_report,
     classical_separators,
     jointree_from_order,
     make_twin_jointree,
@@ -15,8 +14,9 @@ from ctwin import (
     thin,
     thinned_twin_separators,
 )
-from ctwin.bench import generate_dag, twin_dag
+from ctwin.bench import generate_dag
 from ctwin.jointree import edge_key
+from ctwin.worlds import twin_dag
 
 from conftest import random_scm
 
@@ -29,12 +29,20 @@ def gate_dag():
     )
 
 
-def test_thinning_lowers_width_on_gate_dag():
+def gate_widths():
+    """Classical, replicated and thinned widths of the gate DAG's minfill
+    jointree, with D functional and chain bound 10."""
     dag = gate_dag()
-    order = minfill_order(moral_graph(dag))
-    report = causal_width_report(dag, {"D"}, chain_bound=10, heuristic_order=order)
-    assert report.classical_width == 3
-    assert report.thinned_width == 2
+    jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
+    rep = replicate(jt, dag, 10, {"D"})
+    thinned = thin(rep, {"D"})
+    return classical_separators(jt).width, classical_separators(rep).width, thinned.thinned.width
+
+
+def test_thinning_lowers_width_on_gate_dag():
+    classical_width, _, thinned_width = gate_widths()
+    assert classical_width == 3
+    assert thinned_width == 2
 
 
 def test_chain_bound_zero_is_identity():
@@ -133,11 +141,9 @@ def test_twin_lift_of_thinned_separators():
 
 
 def test_width_report_exposes_replication_blowup():
-    dag = gate_dag()
-    order = minfill_order(moral_graph(dag))
-    report = causal_width_report(dag, {"D"}, chain_bound=10, heuristic_order=order)
-    assert report.replicated_width >= report.classical_width
-    assert report.thinned_width <= report.replicated_width
+    classical_width, replicated_width, thinned_width = gate_widths()
+    assert replicated_width >= classical_width
+    assert thinned_width <= replicated_width
 
 
 # ------------------------------------------------ thin: property checks
