@@ -55,15 +55,17 @@ class InferenceResult:
 # ---------------------------------------------------------------- factors
 
 def multiply(a: Factor, b: Factor) -> Factor:
-    scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
-    av = a.values.reshape(a.values.shape + (1,) * (len(scope) - len(a.scope)))
-    perm = [b.scope.index(v) if v in b.scope else None for v in scope]
-    bshape = tuple(
-        b.values.shape[p] if p is not None else 1 for p in perm
-    )
-    src = [p for p in perm if p is not None]
-    bv = np.transpose(b.values, src).reshape(bshape)
-    return Factor(scope, av * bv)
+    if a.scope == b.scope:
+        return Factor(a.scope, a.values * b.values)
+    pos = {v: i for i, v in enumerate(b.scope)}
+    src = [pos.pop(v, None) for v in a.scope]
+    extra = tuple(pos)
+    shape = b.values.shape
+    bshape = [1 if p is None else shape[p] for p in src] + [shape[p] for p in pos.values()]
+    src = [p for p in src if p is not None] + list(pos.values())
+    bv = b.values if src == sorted(src) else np.transpose(b.values, src)
+    av = a.values.reshape(a.values.shape + (1,) * len(extra)) if extra else a.values
+    return Factor(a.scope + extra, av * bv.reshape(bshape))
 
 
 def sum_out(f: Factor, v: str) -> Factor:
@@ -98,24 +100,37 @@ def _check_states(scm: Scm, e: Evidence):
             raise ModelError(f"state {s} out of range for {v!r}")
 
 
-def _eliminate_all(factors: list[Factor], order: tuple[str, ...]) -> tuple[float, int]:
-    """Sum out every variable in order; returns (value, peak scope size)."""
-    peak = max((len(f.scope) for f in factors), default=0)
-    pool = list(factors)
-    for v in order:
-        touching = [f for f in pool if v in f.scope]
-        if not touching:
-            continue
-        pool = [f for f in pool if v not in f.scope]
-        f = touching[0]
-        for g in touching[1:]:
-            f = multiply(f, g)
-        peak = max(peak, len(f.scope))
-        pool.append(sum_out(f, v))
-    out = 1.0
-    for f in pool:
-        out *= factor_value(f)
-    return out, peak
+def _eliminate_all(pools: list[list[Factor]], order: tuple[str, ...]) -> list[tuple[float, int]]:
+    """Sum out every variable in order from each pool of factors, the
+    pools in lockstep; returns (value, peak scope size) per pool.
+
+    A factor waits in the bucket of its earliest variable in the order, so
+    when a variable is eliminated its bucket holds, in pool order, exactly
+    the factors that mention it. Where a pool's bucket holds the same
+    objects as the previous pool's, their product and sum are computed
+    once and the one result goes to both pools."""
+    pos = {v: i for i, v in enumerate(order)}
+    end = len(order)  # the bucket of factors with an empty scope
+    buckets = [[[] for _ in range(end + 1)] for _ in pools]
+    for bucket, factors in zip(buckets, pools):
+        for f in factors:
+            bucket[min((pos[x] for x in f.scope), default=end)].append(f)
+    peaks = [max((len(f.scope) for f in factors), default=0) for factors in pools]
+    for i, v in enumerate(order):
+        prev: list[Factor] = []
+        for k, bucket in enumerate(buckets):
+            touching, bucket[i] = bucket[i], None
+            if not touching:
+                continue
+            if len(touching) != len(prev) or any(f is not g for f, g in zip(touching, prev)):
+                prev, f = touching, touching[0]
+                for g in touching[1:]:
+                    f = multiply(f, g)
+                size, out = len(f.scope), sum_out(f, v)
+            peaks[k] = max(peaks[k], size)
+            bucket[min((pos[x] for x in out.scope), default=end)].append(out)
+    return [(prod((factor_value(f) for f in bucket[end]), start=1.0), peak)
+            for bucket, peak in zip(buckets, peaks)]
 
 
 def ve_query(
@@ -141,14 +156,12 @@ def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, order: EliminationO
         raise ModelError("order does not cover the network's variables")
     width = eliminate(moral_graph(scm.dag), order).width
 
-    both = Evidence({**evidence.assignments, **target.assignments})
-    for v in both.assignments:
-        if v in evidence.assignments and v in target.assignments:
-            if evidence.assignments[v] != target.assignments[v]:
-                return InferenceResult(0.0, _prob(factors, order, evidence, width), "ve")
+    for v, s in target.items():
+        if evidence.assignments.get(v, s) != s:
+            return InferenceResult(0.0, _prob(factors, order, evidence, width=width)[0], "ve")
 
-    p_both = _prob(factors, order, both, width)
-    p_e = _prob(factors, order, evidence, width)
+    both = Evidence({**evidence.assignments, **target.assignments})
+    p_both, p_e = _prob(factors, order, both, evidence, width=width)
     if mode == "joint":
         return InferenceResult(p_both, p_e, "ve")
     if p_e <= 0.0:
@@ -156,12 +169,21 @@ def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, order: EliminationO
     return InferenceResult(p_both / p_e, p_e, "ve")
 
 
-def _prob(factors: list[Factor], order: EliminationOrder, e: Evidence, width: int) -> float:
-    reduced = [reduce_factor(f, e) for f in factors]
-    value, peak = _eliminate_all(reduced, order.sequence)
-    if peak > width + 1:
-        raise InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
-    return value
+def _prob(factors: list[Factor], order: EliminationOrder, *es: Evidence, width: int) -> list[float]:
+    """Pr(e) for each e in es, eliminated in lockstep. A factor on whose
+    scope e agrees with the first evidence is reduced once for both."""
+    first = [reduce_factor(f, es[0]) for f in factors]
+    pools = [first]
+    for e in es[1:]:
+        a, b = es[0].assignments, e.assignments
+        differ = {v for v in a.keys() | b.keys() if a.get(v) != b.get(v)}
+        pools.append([g if differ.isdisjoint(f.scope) else reduce_factor(f, e) for f, g in zip(factors, first)])
+    out = []
+    for value, peak in _eliminate_all(pools, order.sequence):
+        if peak > width + 1:
+            raise InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
+        out.append(value)
+    return out
 
 
 # ---------------------------------------------------------------- jointree
@@ -184,13 +206,12 @@ def _leaf_factors(hosts: dict[str, tuple[str, ...]], factors: dict[str, Factor])
 @dataclass(frozen=True)
 class _Schedule:
     """A jointree rooted at its first node, ready for message passing:
-    the family hosts, and every other node in reverse breadth-first order
-    with its parent, its children and the separator towards its parent."""
+    the family hosts, and every node in reverse breadth-first order with
+    its parent, its children and the separator towards its parent. The
+    root comes last, with no parent and an empty separator."""
 
     hosts: dict[str, tuple[str, ...]]
-    steps: tuple[tuple[str, str, tuple[str, ...], frozenset[str]], ...]
-    sink: str
-    sink_children: tuple[str, ...]
+    steps: tuple[tuple[str, str | None, tuple[str, ...], frozenset[str]], ...]
     method: str
 
 
@@ -200,7 +221,7 @@ def _schedule(jt: Jointree, separators: dict[tuple[str, str], frozenset[str]], m
     order, parent = rooted(nb, sink)
     steps = tuple((v, parent[v], tuple(u for u in nb[v] if u != parent[v]),
                    separators[edge_key(v, parent[v])]) for v in reversed(order[1:]))
-    return _Schedule(jt.hosts, steps, sink, tuple(nb[sink]), method)
+    return _Schedule(jt.hosts, steps + ((sink, None, tuple(nb[sink]), frozenset()),), method)
 
 
 def jointree_propagate(
@@ -235,35 +256,50 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
         if child not in by_child:
             raise ModelError(f"no factor for hosted family {child!r}")
     leaf_factor = _leaf_factors(sched.hosts, by_child)
+    msg: dict[str, Factor] = {}
+    changed: set[str] = set()
 
-    def prob(e: Evidence) -> float:
-        local = {leaf: reduce_factor(f, e) for leaf, f in leaf_factor.items()}
-        msg: dict[str, Factor] = {}
+    def collect(e: Evidence, local: dict[str, Factor], redo: set[str] | None = None) -> float:
+        """Pr(e) by messages towards the root from the leaves' factors
+        reduced by e. Only the nodes in redo (all when None) compute theirs;
+        the others keep the previous pass's. A message in changed is
+        dropped once its parent has used it."""
         for v, p, children, sep in sched.steps:
-            f = local.get(v, Factor.unit())
+            if redo is not None and v not in redo:
+                continue
+            f = local.get(v)
             for u in children:
-                f = multiply(f, msg[u])
-            for x in list(f.scope):
+                m = msg.pop(u) if u in changed else msg[u]
+                f = m if f is None else multiply(f, m)
+            if f is None:
+                f = Factor.unit()
+            for x in f.scope:
                 if x not in sep or x in e.assignments:
                     f = sum_out(f, x)
             if not set(f.scope) <= sep:
                 raise InvariantError(f"message {v}->{p} scope {sorted(f.scope)} "
                                      f"exceeds its separator {sorted(sep)}")
             msg[v] = f
-        f = local.get(sched.sink, Factor.unit())
-        for u in sched.sink_children:
-            f = multiply(f, msg[u])
-        for x in list(f.scope):
-            f = sum_out(f, x)
-        return factor_value(f)
+        return factor_value(msg[sched.steps[-1][0]])
 
     method = sched.method
-    for v in target.assignments:
-        if v in evidence.assignments and evidence.assignments[v] != target.assignments[v]:
-            return InferenceResult(0.0, prob(evidence), method)
+    for v, s in target.items():
+        if evidence.assignments.get(v, s) != s:
+            local = {leaf: reduce_factor(f, evidence) for leaf, f in leaf_factor.items()}
+            return InferenceResult(0.0, collect(evidence, local), method)
+    # The two passes differ only at leaves whose family mentions a free
+    # target, and on the paths from those leaves to the root.
+    free = target.assignments.keys() - evidence.assignments.keys()
+    touched = [leaf for leaf, f in leaf_factor.items() if not free.isdisjoint(f.scope)]
+    changed.update(touched)
+    for v, _, children, _ in sched.steps:
+        if not changed.isdisjoint(children):
+            changed.add(v)
     both = Evidence({**evidence.assignments, **target.assignments})
-    p_both = prob(both)
-    p_e = prob(evidence)
+    local = {leaf: reduce_factor(f, both) for leaf, f in leaf_factor.items()}
+    p_both = collect(both, local)
+    local.update((leaf, reduce_factor(leaf_factor[leaf], evidence)) for leaf in touched)
+    p_e = collect(evidence, local, changed)
     if mode == "joint":
         return InferenceResult(p_both, p_e, method)
     if p_e <= 0.0:

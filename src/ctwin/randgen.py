@@ -8,8 +8,7 @@ from any language, not just this Python build.
 
 from __future__ import annotations
 
-from .jointree import rooted
-from .model import Dag, ModelError, Scm, Variable, _topological_order
+from .model import Dag, ModelError, Scm, Variable
 
 _M64 = (1 << 64) - 1
 
@@ -102,13 +101,17 @@ def to_rscm(dag: Dag) -> Dag:
     return Dag(tuple(nodes), parents)
 
 
-def _connected(parents: dict[str, tuple[str, ...]], names: list[str]) -> bool:
-    adj: dict[str, list[str]] = {v: [] for v in names}
-    for v, ps in parents.items():
-        for p in ps:
-            adj[v].append(p)
-            adj[p].append(v)
-    return len(rooted(adj, names[0])[0]) == len(names)
+def _reaches(src: str, dst: str, step) -> bool:
+    """Whether dst can be reached from src through the nodes step(u) lists."""
+    seen, todo = {src}, [src]
+    while todo:
+        for w in step(todo.pop()):
+            if w == dst:
+                return True
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return False
 
 
 def gen_rnet2(n: int, max_degree: int, rng: Rng) -> Dag:
@@ -119,14 +122,9 @@ def gen_rnet2(n: int, max_degree: int, rng: Rng) -> Dag:
     if n < 2 or max_degree < 1:
         raise ModelError("need n >= 2 and max_degree >= 1")
     names = _names(n)
-    parents: dict[str, tuple[str, ...]] = {
-        v: (names[i - 1],) if i else () for i, v in enumerate(names)
-    }
-    degree = {v: 0 for v in names}
-    for v in names[1:]:
-        degree[v] += 1
-    for v in names[:-1]:
-        degree[v] += 1
+    parents: dict[str, list[str]] = {v: [names[i - 1]] if i else [] for i, v in enumerate(names)}
+    children: dict[str, list[str]] = {v: [names[i + 1]] if i + 1 < n else [] for i, v in enumerate(names)}
+    degree = {v: len(parents[v]) + len(children[v]) for v in names}
     for _ in range(50 * n * max_degree):
         i = rng.below(n)
         j = rng.below(n - 1)
@@ -134,19 +132,19 @@ def gen_rnet2(n: int, max_degree: int, rng: Rng) -> Dag:
             j += 1
         a, b = names[i], names[j]
         if a in parents[b]:
-            trial = dict(parents)
-            trial[b] = tuple(p for p in parents[b] if p != a)
-            if _connected(trial, names):
-                parents = trial
+            # the skeleton stays connected iff a still reaches b without this edge
+            if _reaches(a, b, lambda u: [w for w in parents[u] + children[u] if u != a or w != b]):
+                parents[b].remove(a)
+                children[a].remove(b)
                 degree[a] -= 1
                 degree[b] -= 1
         else:
             if degree[a] >= max_degree or degree[b] >= max_degree:
                 continue
-            trial = dict(parents)
-            trial[b] = parents[b] + (a,)
-            if _topological_order(names, trial) is not None:
-                parents = trial
+            # a -> b closes a cycle iff b already reaches a
+            if not _reaches(b, a, children.__getitem__):
+                parents[b].append(a)
+                children[a].append(b)
                 degree[a] += 1
                 degree[b] += 1
     return Dag(tuple(names), {v: tuple(sorted(parents[v])) for v in names})

@@ -274,7 +274,7 @@ def test_one_world_query_is_plain_inference(adder):
 _BREAK_CONTRACTS = """
 import sys
 import ctwin.inference as inf
-from ctwin import Evidence, InvariantError, jointree_from_order, minfill_order, moral_graph, scm_factors
+from ctwin import Evidence, InvariantError, ModelError, jointree_from_order, minfill_order, moral_graph, scm_factors
 from ctwin.randgen import Rng, gen_rscm
 
 print("optimize", sys.flags.optimize)
@@ -289,6 +289,10 @@ try:
     inf.jointree_propagate(jointree_from_order(scm.dag, order), scm, Evidence({}), Evidence({}))
 except InvariantError as e:
     print("jointree:", e)
+try:
+    inf._leaf_factors({"v0": ("a", "b")}, {"v0": scm_factors(scm)[0]})  # a root table on two leaves
+except ModelError as e:
+    print("replicated:", e)
 """
 
 
@@ -305,6 +309,7 @@ def test_contract_checks_fire_under_python_O():
     assert out[0] == "optimize 1"
     assert out[1].startswith("ve: peak scope ")
     assert out[2].startswith("jointree: message ") and "exceeds its separator" in out[2]
+    assert out[3] == "replicated: replicated family 'v0' is not deterministic"
 
 
 # ---------------------------------------------------------------- compiled layouts
@@ -433,3 +438,246 @@ def _twin_query(scm):
         target=((2, internals[-1], 1),),
         mode="joint",
     )
+
+
+# ---------------------------------------------------------------- two full passes
+
+def _reference_multiply(a, b):
+    scope = a.scope + tuple(v for v in b.scope if v not in a.scope)
+    av = a.values.reshape(a.values.shape + (1,) * (len(scope) - len(a.scope)))
+    perm = [b.scope.index(v) if v in b.scope else None for v in scope]
+    bshape = tuple(b.values.shape[p] if p is not None else 1 for p in perm)
+    bv = np.transpose(b.values, [p for p in perm if p is not None]).reshape(bshape)
+    return Factor(scope, av * bv)
+
+
+def _reference_eliminate_all(factors, order):
+    """Sum out every variable in order, rescanning the whole pool for the
+    factors that mention it; returns (value, peak scope size)."""
+    peak = max((len(f.scope) for f in factors), default=0)
+    pool = list(factors)
+    for v in order:
+        touching = [f for f in pool if v in f.scope]
+        if not touching:
+            continue
+        pool = [f for f in pool if v not in f.scope]
+        f = touching[0]
+        for g in touching[1:]:
+            f = _reference_multiply(f, g)
+        peak = max(peak, len(f.scope))
+        pool.append(sum_out(f, v))
+    out = 1.0
+    for f in pool:
+        out *= factor_value(f)
+    return out, peak
+
+
+def _reference_ve(scm, factors, evidence, order, target, mode):
+    import ctwin.inference as inf
+    from ctwin.elimination import eliminate
+
+    inf._check_states(scm, evidence)
+    inf._check_states(scm, target)
+    if set(order.sequence) != set(scm.dag.nodes):
+        raise ModelError("order does not cover the network's variables")
+    width = eliminate(moral_graph(scm.dag), order).width
+
+    def prob(e):
+        value, peak = _reference_eliminate_all([reduce_factor(f, e) for f in factors], order.sequence)
+        if peak > width + 1:
+            raise inf.InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
+        return value
+
+    both = Evidence({**evidence.assignments, **target.assignments})
+    for v in both.assignments:
+        if v in evidence.assignments and v in target.assignments:
+            if evidence.assignments[v] != target.assignments[v]:
+                return inf.InferenceResult(0.0, prob(evidence), "ve")
+    p_both = prob(both)
+    p_e = prob(evidence)
+    if mode == "joint":
+        return inf.InferenceResult(p_both, p_e, "ve")
+    if p_e <= 0.0:
+        raise ZeroEvidenceError("evidence has probability zero")
+    return inf.InferenceResult(p_both / p_e, p_e, "ve")
+
+
+def _reference_propagate(sched, scm, factors, evidence, target, mode):
+    import ctwin.inference as inf
+
+    inf._check_states(scm, evidence)
+    inf._check_states(scm, target)
+    by_child = {f.scope[-1]: f for f in factors}
+    for child in sched.hosts:
+        if child not in by_child:
+            raise ModelError(f"no factor for hosted family {child!r}")
+    leaf_factor = inf._leaf_factors(sched.hosts, by_child)
+
+    def prob(e):
+        local = {leaf: reduce_factor(f, e) for leaf, f in leaf_factor.items()}
+        msg = {}
+        for v, p, children, sep in sched.steps:  # the root last, with an empty separator
+            f = local.get(v, Factor.unit())
+            for u in children:
+                f = _reference_multiply(f, msg[u])
+            for x in list(f.scope):
+                if x not in sep or x in e.assignments:
+                    f = sum_out(f, x)
+            if not set(f.scope) <= sep:
+                raise inf.InvariantError(f"message {v}->{p} scope {sorted(f.scope)} "
+                                         f"exceeds its separator {sorted(sep)}")
+            msg[v] = f
+        return factor_value(msg[sched.steps[-1][0]])
+
+    for v in target.assignments:
+        if v in evidence.assignments and evidence.assignments[v] != target.assignments[v]:
+            return inf.InferenceResult(0.0, prob(evidence), sched.method)
+    both = Evidence({**evidence.assignments, **target.assignments})
+    p_both = prob(both)
+    p_e = prob(evidence)
+    if mode == "joint":
+        return inf.InferenceResult(p_both, p_e, sched.method)
+    if p_e <= 0.0:
+        raise ZeroEvidenceError("evidence has probability zero")
+    return inf.InferenceResult(p_both / p_e, p_e, sched.method)
+
+
+class _Oversized(Exception):
+    """A product past the size bound of the bit-for-bit test."""
+
+
+def _bounded(mul):
+    """mul, refusing any product of more than 2^20 entries: the N-world
+    jointree-thinned engine can ask for factors of several GiB (ROADMAP
+    item 3), which would exhaust the test machine's memory."""
+    def product(a, b):
+        cards = {**dict(zip(a.scope, a.values.shape)), **dict(zip(b.scope, b.values.shape))}
+        if math.prod(cards.values()) > 1 << 20:
+            raise _Oversized
+        return mul(a, b)
+    return product
+
+
+def _hex_outcome(scm, q, engine):
+    try:
+        res = counterfactual(scm, q, engine)
+    except ModelError as e:
+        return type(e).__name__, str(e)
+    return res.value.hex(), res.evidence_probability.hex(), res.method
+
+
+def reference_two_pass(scm, q, engine):
+    """counterfactual(scm, q, engine) as two full passes, P(t,e) then P(e),
+    each eliminating by whole-pool rescans or passing every message, with
+    the pairwise product that transposes every operand."""
+    from unittest import mock
+
+    import ctwin.inference as inf
+
+    with mock.patch.multiple(inf, _ve=_reference_ve, _propagate=_reference_propagate):
+        return _hex_outcome(scm, q, engine)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def overlapping_queries(draw):
+        """A random rSCM or rSCM2 network and an N<=3 query on it, roots
+        shared in full or in part, whose targets may repeat an observation
+        with its own state or with another one. Observations are usually
+        read off one simulated run, so that most have nonzero probability."""
+        from ctwin.randgen import Rng, gen_rscm, gen_rscm2
+
+        gen = draw(st.sampled_from((gen_rscm, gen_rscm2)))
+        card = draw(st.sampled_from((2, 3)))
+        scm = gen(draw(st.integers(4, 10)), 2, Rng(draw(st.integers(0, 10**6))), cardinality=card)
+        roots, internals = scm.dag.roots(), scm.dag.internals() or scm.dag.roots()
+        run = {r: draw(st.integers(0, card - 1)) for r in roots}
+        for v in scm.dag.topological_order():
+            if v not in run:
+                run[v] = scm.child_state(v, run)
+        worlds = draw(st.integers(1, 3))
+        shared = roots if draw(st.booleans()) else [r for r in roots if draw(st.booleans())]
+
+        def evidence(simulated):
+            chosen = draw(st.lists(st.sampled_from(internals), max_size=3, unique=True))
+            return {v: run[v] if simulated else draw(st.integers(0, card - 1)) for v in chosen}
+
+        obs = [evidence(draw(st.booleans()) or w == 0) for w in range(worlds)]
+        target = []
+        for _ in range(draw(st.integers(1, 3))):
+            w = draw(st.integers(1, worlds))
+            if obs[w - 1] and draw(st.booleans()):
+                v = draw(st.sampled_from(sorted(obs[w - 1])))
+                s = obs[w - 1][v] if draw(st.booleans()) else draw(st.integers(0, card - 1))
+            else:
+                v, s = draw(st.sampled_from(internals)), draw(st.integers(0, card - 1))
+            target.append((w, v, s))
+        q = CounterfactualQuery(
+            world_count=worlds,
+            shared_roots=frozenset(shared),
+            observations=tuple(Evidence(o) for o in obs),
+            interventions=(Evidence({}),) + tuple(Evidence(evidence(False)) for _ in range(worlds - 1)),
+            target=tuple(target),
+            mode=draw(st.sampled_from(("conditional", "joint"))),
+        )
+        return scm, q
+
+    @settings(max_examples=150, deadline=None)
+    @given(overlapping_queries())
+    def test_one_pass_reuse_matches_two_full_passes_bit_for_bit(case):
+        # the P(e) pass reuses what no free target touches; every answer,
+        # and every error, must equal that of two full passes exactly
+        import sys
+        from unittest import mock
+
+        import ctwin.inference as inf
+
+        scm, q = case
+        for engine in ("ve", "jointree", "jointree-thinned"):
+            try:
+                with mock.patch.object(inf, "multiply", _bounded(multiply)):
+                    got = _hex_outcome(scm, q, engine)
+                with mock.patch.object(sys.modules[__name__], "_reference_multiply",
+                                       _bounded(_reference_multiply)):
+                    want = reference_two_pass(scm, q, engine)
+            except _Oversized:  # both sides build the same products, so neither can answer
+                continue
+            assert got == want, engine
+except ImportError:  # hypothesis is an optional test dependency
+    pass
+
+
+def test_evidence_pass_recomputes_only_what_a_free_target_touches(monkeypatch):
+    import ctwin.inference as inf
+
+    calls = {"multiply": 0, "sum_out": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(inf, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(inf, name, counted)
+
+    def count(q, engine):
+        calls.update(multiply=0, sum_out=0)
+        counterfactual(scm, q, engine)
+        return dict(calls)
+
+    scm = random_scm(5, n=8, param=2)
+    q = _twin_query(scm)  # its target is free: not observed in world 2
+    (_, last, state), = q.target
+    seen = Evidence({**q.observations[1].assignments, last: state})
+    observed = CounterfactualQuery(2, q.shared_roots, (q.observations[0], seen), q.interventions,
+                                   q.target, q.mode)
+    conflicting = CounterfactualQuery(2, q.shared_roots, (q.observations[0], seen), q.interventions,
+                                      ((2, last, 1 - state),), q.mode)
+    for engine in ("ve", "jointree", "jointree-thinned"):
+        counterfactual(scm, q, engine)  # compile the layout first
+        one_pass = count(conflicting, engine)  # only P(e), with e = the other queries' (t, e)
+        assert one_pass["multiply"] > 0, engine
+        # every target observed in its own state: the P(e) pass is the P(t,e) pass
+        assert count(observed, engine) == one_pass, engine
+        both = count(q, engine)
+        assert 0 < both["multiply"] - one_pass["multiply"] < one_pass["multiply"], (engine, both, one_pass)

@@ -1,6 +1,7 @@
 import pytest
 
-from ctwin import ModelError, validate
+from ctwin import Dag, ModelError, validate
+from ctwin.model import _topological_order
 from ctwin.randgen import Rng, _splitmix64, gen_rnet, gen_rnet2, gen_rscm, gen_rscm2, parameterize, to_rscm
 
 
@@ -84,6 +85,56 @@ def test_gen_rnet2_degree_and_connectivity():
                 seen.add(u)
                 stack.append(u)
     assert seen == set(dag.nodes)
+
+
+def reference_rnet2(n, max_degree, rng):
+    """The rNET2 Markov chain with whole-graph checks: every step copies the
+    parents, then tests the trial graph's skeleton for connectivity (a
+    removal) or the whole graph for a cycle (an addition)."""
+    names = [f"v{i}" for i in range(n)]
+    parents = {v: (names[i - 1],) if i else () for i, v in enumerate(names)}
+    degree = {v: (i > 0) + (i < n - 1) for i, v in enumerate(names)}
+
+    def connected(ps):
+        adj = {v: set() for v in names}
+        for v, vs in ps.items():
+            for p in vs:
+                adj[v].add(p)
+                adj[p].add(v)
+        seen, stack = {names[0]}, [names[0]]
+        while stack:
+            for u in adj[stack.pop()] - seen:
+                seen.add(u)
+                stack.append(u)
+        return len(seen) == n
+
+    for _ in range(50 * n * max_degree):
+        i = rng.below(n)
+        j = rng.below(n - 1)
+        if j >= i:
+            j += 1
+        a, b = names[i], names[j]
+        trial = dict(parents)
+        if a in parents[b]:
+            trial[b] = tuple(p for p in parents[b] if p != a)
+            if connected(trial):
+                parents = trial
+                degree[a] -= 1
+                degree[b] -= 1
+        elif degree[a] < max_degree and degree[b] < max_degree:
+            trial[b] = parents[b] + (a,)
+            if _topological_order(names, trial) is not None:
+                parents = trial
+                degree[a] += 1
+                degree[b] += 1
+    return Dag(tuple(names), {v: tuple(sorted(parents[v])) for v in names})
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 13, 20))
+@pytest.mark.parametrize("max_degree", (1, 2, 3, 5))
+def test_gen_rnet2_matches_whole_graph_checks(n, max_degree):
+    for seed in range(4):
+        assert gen_rnet2(n, max_degree, Rng(seed)) == reference_rnet2(n, max_degree, Rng(seed))
 
 
 def test_parameterize_validates():
