@@ -48,14 +48,40 @@ def _eliminate_bit(adj: list[int], i: int) -> int:
     return nb
 
 
+def _replay(adj: list[int]) -> list[int]:
+    """Eliminate the nodes of the bit adjacency adj (consumed) in bit
+    order, bit i standing for the i-th node of an elimination order; returns
+    each node's neighbours at its elimination: its cluster less itself,
+    whose lowest set bit is the earliest-eliminated remaining member."""
+    return [_eliminate_bit(adj, i) for i in range(len(adj))]
+
+
+def _family_adjacency(sequence, parents: dict[str, tuple[str, ...]], cut=()) -> list[int]:
+    """The moral graph of the DAG with these parents as a bit adjacency,
+    bit i the i-th node of sequence; the incoming edges of every node in
+    cut are removed, as intervening on it does."""
+    if sorted(sequence) != sorted(parents):
+        raise ModelError("order is not a permutation of the graph's nodes")
+    index = {v: i for i, v in enumerate(sequence)}
+    adj = [0] * len(sequence)
+    for v, i in index.items():
+        family = 1 << i
+        if v not in cut:
+            for p in parents[v]:
+                family |= 1 << index[p]
+        for j in _bits(family):
+            adj[j] |= family
+    return [a & ~(1 << i) for i, a in enumerate(adj)]
+
+
 def eliminate(g: MoralGraph, order: EliminationOrder) -> ClusterSequence:
     """Replay the elimination process on a working copy of g and collect
     the induced cluster sequence."""
-    if sorted(order.sequence) != sorted(g.nodes):
+    seq = order.sequence
+    if sorted(seq) != sorted(g.nodes):
         raise ModelError("order is not a permutation of the graph's nodes")
-    index, adj = _bit_adjacency(g)
-    clusters = tuple(frozenset([v] + [g.nodes[j] for j in _bits(_eliminate_bit(adj, index[v]))])
-                     for v in order.sequence)
+    clusters = tuple(frozenset([v] + [seq[j] for j in _bits(nb)])
+                     for v, nb in zip(seq, _replay(_bit_adjacency(g, seq)[1])))
     return ClusterSequence(clusters, max((len(c) - 1 for c in clusters), default=0))
 
 

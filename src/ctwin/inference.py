@@ -12,12 +12,12 @@ from math import prod
 
 import numpy as np
 
-from .elimination import EliminationOrder, eliminate, minfill_order, n_world_order, twin_order
+from .elimination import EliminationOrder, _family_adjacency, _replay, minfill_order, n_world_order, twin_order
 from .jointree import (Jointree, SeparatorAssignment, classical_separators, edge_key, jointree_from_order,
                        make_twin_jointree, rooted)
 from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
 from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
-from .worlds import moral_graph, mutilate, n_world_network, twin_network
+from .worlds import _point_masses, moral_graph, mutilate, n_world_network, twin_network
 
 
 class ZeroEvidenceError(ModelError):
@@ -76,7 +76,10 @@ def sum_out(f: Factor, v: str) -> Factor:
 
 
 def reduce_factor(f: Factor, e: Evidence) -> Factor:
-    """Select the evidence-consistent slice and drop those variables."""
+    """Select the evidence-consistent slice and drop those variables; f
+    itself when the evidence does not touch its scope."""
+    if e.assignments.keys().isdisjoint(f.scope):
+        return f
     idx = tuple(
         e.assignments[v] if v in e.assignments else slice(None) for v in f.scope
     )
@@ -148,13 +151,14 @@ def ve_query(
 
 
 def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, order: EliminationOrder,
-        target: Evidence, mode: str) -> InferenceResult:
-    """ve_query over the given factors of scm, in network node order."""
+        target: Evidence, mode: str, cut=()) -> InferenceResult:
+    """ve_query over the given factors of scm, in network node order, in
+    which the family of each variable in cut is a point mass."""
     _check_states(scm, evidence)
     _check_states(scm, target)
     if set(order.sequence) != set(scm.dag.nodes):
         raise ModelError("order does not cover the network's variables")
-    width = eliminate(moral_graph(scm.dag), order).width
+    width = max(map(int.bit_count, _replay(_family_adjacency(order.sequence, scm.dag.parents, cut))), default=0)
 
     for v, s in target.items():
         if evidence.assignments.get(v, s) != s:
@@ -247,8 +251,15 @@ def jointree_propagate(
 
 
 def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evidence,
-               target: Evidence, mode: str) -> InferenceResult:
-    """jointree_propagate over a rooted jointree and the given factors of scm."""
+               target: Evidence, mode: str, cut=(), table: dict | None = None) -> InferenceResult:
+    """jointree_propagate over a rooted jointree and the given factors of
+    scm, in which the family of each variable in cut is a point mass.
+
+    A node is touched when it is a leaf whose family mentions an observed
+    or target variable or is cut, or when it has a touched child. An
+    untouched node's message depends only on the compiled factors and the
+    schedule, so a table (node -> its leaf factor or None, its message)
+    keeps it for every later query on the same schedule."""
     _check_states(scm, evidence)
     _check_states(scm, target)
     by_child = {f.scope[-1]: f for f in factors}
@@ -257,9 +268,23 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
             raise ModelError(f"no factor for hosted family {child!r}")
     leaf_factor = _leaf_factors(sched.hosts, by_child)
     msg: dict[str, Factor] = {}
-    changed: set[str] = set()
+    # The P(t,e) and P(e) passes differ only at leaves whose family mentions
+    # a free target (one the evidence does not also fix), and on the paths
+    # from those leaves to the root.
+    free = target.assignments.keys() - evidence.assignments.keys()
+    changed = {leaf for leaf, f in leaf_factor.items() if not free.isdisjoint(f.scope)}
+    touched: set[str] = set()
+    if table is not None:
+        inputs = evidence.assignments.keys() | target.assignments.keys()
+        touched = {leaf for leaf, f in leaf_factor.items() if not inputs.isdisjoint(f.scope)}
+        touched.update(leaf for v in cut for leaf in sched.hosts[v])
+    for v, _, children, _ in sched.steps:
+        if not changed.isdisjoint(children):
+            changed.add(v)
+        if table is not None and not touched.isdisjoint(children):
+            touched.add(v)
 
-    def collect(e: Evidence, local: dict[str, Factor], redo: set[str] | None = None) -> float:
+    def collect(e: Evidence, redo: set[str] | None = None) -> float:
         """Pr(e) by messages towards the root from the leaves' factors
         reduced by e. Only the nodes in redo (all when None) compute theirs;
         the others keep the previous pass's. A message in changed is
@@ -267,7 +292,13 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
         for v, p, children, sep in sched.steps:
             if redo is not None and v not in redo:
                 continue
-            f = local.get(v)
+            keep = table is not None and v not in touched
+            if keep and v in table:
+                source, msg[v] = table[v]
+                if source is not leaf_factor.get(v):
+                    raise InvariantError(f"the stored message of {v} came from another factor")
+                continue
+            f = reduce_factor(leaf_factor[v], e) if v in leaf_factor else None
             for u in children:
                 m = msg.pop(u) if u in changed else msg[u]
                 f = m if f is None else multiply(f, m)
@@ -280,26 +311,16 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
                 raise InvariantError(f"message {v}->{p} scope {sorted(f.scope)} "
                                      f"exceeds its separator {sorted(sep)}")
             msg[v] = f
+            if keep:
+                table[v] = leaf_factor.get(v), f
         return factor_value(msg[sched.steps[-1][0]])
 
     method = sched.method
     for v, s in target.items():
         if evidence.assignments.get(v, s) != s:
-            local = {leaf: reduce_factor(f, evidence) for leaf, f in leaf_factor.items()}
-            return InferenceResult(0.0, collect(evidence, local), method)
-    # The two passes differ only at leaves whose family mentions a free
-    # target, and on the paths from those leaves to the root.
-    free = target.assignments.keys() - evidence.assignments.keys()
-    touched = [leaf for leaf, f in leaf_factor.items() if not free.isdisjoint(f.scope)]
-    changed.update(touched)
-    for v, _, children, _ in sched.steps:
-        if not changed.isdisjoint(children):
-            changed.add(v)
-    both = Evidence({**evidence.assignments, **target.assignments})
-    local = {leaf: reduce_factor(f, both) for leaf, f in leaf_factor.items()}
-    p_both = collect(both, local)
-    local.update((leaf, reduce_factor(leaf_factor[leaf], evidence)) for leaf in touched)
-    p_e = collect(evidence, local, changed)
+            return InferenceResult(0.0, collect(evidence), method)
+    p_both = collect(Evidence({**evidence.assignments, **target.assignments}))
+    p_e = collect(evidence, changed)
     if mode == "joint":
         return InferenceResult(p_both, p_e, method)
     if p_e <= 0.0:
@@ -314,8 +335,9 @@ class _Layout:
     layout (world count, shared roots) of an Scm: the unmutilated world
     network and its factors, the base and lifted minfill orders and, in
     the twin case, the base jointree and the Alg-1 twin jointree with its
-    classical or thinned separators. Each part is built when an engine
-    first reads it. It holds no reference to the Scm that owns it."""
+    classical or thinned separators, with the messages on each that no
+    query input reaches. Each part is built when an engine first reads it.
+    It holds no reference to the Scm that owns it."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
         self.dag = scm.dag
@@ -326,6 +348,7 @@ class _Layout:
             self.net, self.wmap = twin_network(scm)
         else:
             self.net, self.wmap = n_world_network(scm, shared_roots, world_count)
+        self.messages: dict[str, dict] = {}  # engine -> _propagate's table
 
     @cached_property
     def factors(self) -> list[Factor]:
@@ -334,11 +357,11 @@ class _Layout:
             f.values.flags.writeable = False  # shared by every later query
         return out
 
-    def query_factors(self, net: Scm, do: dict[str, int]) -> list[Factor]:
-        """The factors of net, the network mutilated by do: the compiled
-        ones, with each intervened family replaced by its point mass."""
-        return [Factor.of((v,), {v: net.card(v)}, net.root_tables[v]) if v in do else f
-                for v, f in zip(net.dag.nodes, self.factors)]
+    def query_factors(self, masses: dict[str, tuple[float, ...]]) -> list[Factor]:
+        """The compiled factors, each intervened family replaced by its
+        point mass."""
+        return [Factor.of((v,), {v: len(masses[v])}, masses[v]) if v in masses else f
+                for v, f in zip(self.net.dag.nodes, self.factors)]
 
     @cached_property
     def base_order(self) -> EliminationOrder:
@@ -372,9 +395,8 @@ class _Layout:
 
 
 def _query_network(scm: Scm, q: CounterfactualQuery):
-    """The compiled layout of q, the world network mutilated by q's
-    interventions, those interventions, and q's evidence and target in
-    network ids."""
+    """The compiled layout of q, and q's interventions, evidence and
+    target in network ids."""
     key = (q.world_count, frozenset(q.shared_roots))
     layout = scm._compiled.get(key)
     if layout is None:
@@ -397,15 +419,15 @@ def _query_network(scm: Scm, q: CounterfactualQuery):
         if tgt.get(nid, s) != s:
             raise ModelError(f"conflicting target states on {nid!r}")
         tgt[nid] = s
-    return layout, mutilate(layout.net, Evidence(do)), do, Evidence(obs), Evidence(tgt)
+    return layout, Evidence(do), Evidence(obs), Evidence(tgt)
 
 
 def build_query_network(scm: Scm, q: CounterfactualQuery):
     """N-world network (twin naming when N=2 with all roots shared),
     mutilated by the per-world interventions, plus mapped evidence and
     target. Returns (network, world_map, evidence, target)."""
-    layout, net, _, obs, tgt = _query_network(scm, q)
-    return net, layout.wmap, obs, tgt
+    layout, do, obs, tgt = _query_network(scm, q)
+    return mutilate(layout.net, do), layout.wmap, obs, tgt
 
 
 def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> InferenceResult:
@@ -416,32 +438,34 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
     construction when N=2 with all roots shared, and otherwise build a
     jointree from the lifted order; "oracle" enumerates exogenous states.
     What does not depend on the query (world network, orders, twin
-    jointrees, separators) is compiled once per Scm and world layout; a
-    query only mutilates, maps its evidence and propagates."""
+    jointrees, separators, the twin messages no query input reaches) is
+    compiled once per Scm and world layout. A query cuts the intervened
+    families, maps its evidence and propagates; only the N-world jointree
+    engines build a mutilated network, for their jointree."""
     if engine == "oracle":
         return brute_force_counterfactual(scm, q)
-    layout, net, do, obs, tgt = _query_network(scm, q)
-    factors = layout.query_factors(net, do)
+    layout, do, obs, tgt = _query_network(scm, q)
+    masses = _point_masses(layout.net, do)
+    factors = layout.query_factors(masses)
     if engine == "ve":
-        res = _ve(net, factors, obs, layout.order, tgt, q.mode)
+        res = _ve(layout.net, factors, obs, layout.order, tgt, q.mode, masses)
         tag = "ve-twin" if layout.twin else "ve-nworld"
         return InferenceResult(res.value, res.evidence_probability, tag)
-    if engine == "jointree":
-        if layout.twin:
-            sched = layout.twin_schedule
-        else:
-            jt = jointree_from_order(net.dag, layout.order)
-            sched = _schedule(jt, classical_separators(jt).separators, "jointree")
-    elif engine == "jointree-thinned":
-        if layout.twin:
-            sched = layout.thinned_twin_schedule
-        else:
-            rep = replicate(jointree_from_order(net.dag, layout.order), net.dag, 10)
-            thinned = thin(rep, net.dag.internals())
-            sched = _schedule(thinned.jointree, thinned.thinned.separators, "jointree-thinned")
-    else:
+    if engine not in ("jointree", "jointree-thinned"):
         raise ModelError(f"unknown engine {engine!r}")
-    return _propagate(sched, net, factors, obs, tgt, q.mode)
+    table = None
+    if layout.twin:
+        sched = layout.twin_schedule if engine == "jointree" else layout.thinned_twin_schedule
+        table = layout.messages.setdefault(engine, {})
+    else:
+        dag = mutilate(layout.net, do).dag
+        jt = jointree_from_order(dag, layout.order)
+        if engine == "jointree":
+            sched = _schedule(jt, classical_separators(jt).separators, engine)
+        else:
+            thinned = thin(replicate(jt, dag, 10), dag.internals())
+            sched = _schedule(thinned.jointree, thinned.thinned.separators, engine)
+    return _propagate(sched, layout.net, factors, obs, tgt, q.mode, masses, table)
 
 
 # ---------------------------------------------------------------- oracles

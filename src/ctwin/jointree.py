@@ -8,9 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .elimination import EliminationOrder, eliminate
+from .elimination import EliminationOrder, _family_adjacency, _replay
 from .model import Dag, InvariantError, ModelError
-from .worlds import _twin_structure, moral_graph, twin_name
+from .worlds import _twin_structure, twin_name
 
 
 def edge_key(a: str, b: str) -> tuple[str, str]:
@@ -161,7 +161,7 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
     """Cluster-tree construction: link each elimination cluster to the
     cluster of its earliest-eliminated remaining member, then hang one
     host leaf per family off a cluster that contains it."""
-    cs = eliminate(moral_graph(dag), order)
+    rest = _replay(_family_adjacency(order.sequence, dag.parents))  # cluster i less node i
     pos = {v: i for i, v in enumerate(order.sequence)}
     n = len(order.sequence)
     cname = [f"c{i}" for i in range(n)]
@@ -169,10 +169,8 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
     edges = []
     linked = [False] * n
     for i in range(n):
-        rest = [pos[v] for v in cs.clusters[i] if v != order.sequence[i]]
-        if rest:
-            j = min(rest)
-            edges.append(edge_key(cname[i], cname[j]))
+        if rest[i]:
+            edges.append(edge_key(cname[i], cname[(rest[i] & -rest[i]).bit_length() - 1]))
             linked[i] = True
     # connect remaining components (clusters that ended a component) in a chain
     tails = [i for i in range(n) if not linked[i]]
@@ -182,8 +180,9 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
     families = {v: frozenset((v,) + dag.parents[v]) for v in dag.nodes}
     hosts = {}
     for v in dag.nodes:
-        i = min(pos[m] for m in families[v])
-        if not families[v] <= cs.clusters[i]:
+        family = sum(1 << pos[m] for m in families[v])
+        i = (family & -family).bit_length() - 1
+        if family & ~(rest[i] | 1 << i):
             raise InvariantError(f"family of {v!r} is not inside cluster {i}")
         leaf = f"f_{v}"
         nodes.append(leaf)

@@ -172,6 +172,19 @@ def generalized_n_world(dag: Dag, duplicated, n_worlds: int, cross_edges=()) -> 
     return Dag(tuple(nid for _, _, nid in nodes), parents)
 
 
+def _point_masses(scm: Scm, interventions: Evidence) -> dict[str, tuple[float, ...]]:
+    """The table that fixes each intervened variable in its state."""
+    out = {}
+    for v, state in interventions.items():
+        if v not in scm.variables:
+            raise ModelError(f"unknown intervened variable {v!r}")
+        card = scm.card(v)
+        if not (0 <= state < card):
+            raise ModelError(f"intervened state {state} out of range for {v!r}")
+        out[v] = tuple(1.0 if s == state else 0.0 for s in range(card))
+    return out
+
+
 def mutilate(scm: Scm, interventions: Evidence) -> Scm:
     """Cut incoming edges of intervened variables and fix their states."""
     dag = scm.dag
@@ -179,15 +192,9 @@ def mutilate(scm: Scm, interventions: Evidence) -> Scm:
     variables = dict(scm.variables)
     tables = dict(scm.root_tables)
     cpts = dict(scm.internal_cpts)
-    for v, state in interventions.items():
-        if v not in variables:
-            raise ModelError(f"unknown intervened variable {v!r}")
-        card = variables[v].cardinality
-        if not (0 <= state < card):
-            raise ModelError(f"intervened state {state} out of range for {v!r}")
+    for v, point in _point_masses(scm, interventions).items():
         parents[v] = ()
-        point = tuple(1.0 if s == state else 0.0 for s in range(card))
         tables[v] = point
         cpts.pop(v, None)
-        variables[v] = Variable(v, card, "exogenous-root", False)
+        variables[v] = Variable(v, len(point), "exogenous-root", False)
     return Scm(Dag(dag.nodes, parents), variables, tables, cpts, dict(scm.state_names))

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctwin import Dag, EliminationOrder, ModelError, eliminate, exact_treewidth, minfill_order, moral_graph, n_world_order, twin_order
-from ctwin.elimination import _bit_adjacency, _bits
+from ctwin import (Dag, EliminationOrder, Evidence, ModelError, Rng, eliminate, exact_treewidth, minfill_order,
+                   moral_graph, mutilate, n_world_order, parameterize, twin_order)
+from ctwin.elimination import _bit_adjacency, _bits, _family_adjacency, _replay
+from ctwin.randgen import GENERATORS
 from ctwin.worlds import MoralGraph, n_world_network, twin_network
 
 from conftest import half_adder, random_scm
@@ -193,3 +195,45 @@ def test_minfill_matches_full_rescan(g):
 @given(world_graphs())
 def test_minfill_matches_full_rescan_on_world_networks(g):
     assert minfill_order(g) == reference_minfill(g)
+
+
+# ------------------------------------------- replay on the lifted, cut network
+
+def reference_clusters(g, sequence):
+    """Eliminate with plain sets: each node's cluster is itself and its
+    neighbours when it goes, which are then made pairwise adjacent."""
+    adj = {v: set(us) for v, us in g.adjacency.items()}
+    out = []
+    for v in sequence:
+        nb = adj.pop(v)
+        for u in nb:
+            adj[u] |= nb - {u}
+            adj[u].discard(v)
+        out.append(frozenset(nb | {v}))
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(2, 12), st.integers(1, 3),
+       st.integers(0, 10**6), st.integers(1, 3), st.data())
+def test_replay_matches_eliminate_on_the_mutilated_network(gen, n, param, seed, worlds, data):
+    # the replay, built straight from the parents with the intervened
+    # families cut, gives the clusters and width that eliminate gives on
+    # the moral graph of the mutilated twin or N-world network
+    scm = parameterize(GENERATORS[gen](n, param, Rng(seed)), Rng(seed + 1))
+    base = minfill_order(moral_graph(scm.dag))
+    if worlds == 2 and data.draw(st.booleans()):
+        net, _ = twin_network(scm)
+        order = twin_order(base, scm.dag)
+    else:
+        shared = [r for r in scm.dag.roots() if data.draw(st.booleans())]
+        net, _ = n_world_network(scm, shared, worlds)
+        order = n_world_order(base, scm.dag, shared, worlds)
+    cut = data.draw(st.sets(st.sampled_from(net.dag.nodes)))
+    g = moral_graph(mutilate(net, Evidence(dict.fromkeys(cut, 0))).dag)
+    want = eliminate(g, order)
+    seq = order.sequence
+    rest = _replay(_family_adjacency(seq, net.dag.parents, cut))
+    assert tuple(frozenset([v] + [seq[j] for j in _bits(nb)]) for v, nb in zip(seq, rest)) == want.clusters
+    assert want.clusters == reference_clusters(g, seq)
+    assert max(nb.bit_count() for nb in rest) == want.width
