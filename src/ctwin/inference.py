@@ -5,7 +5,7 @@ brute-force oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
 from math import prod
@@ -212,11 +212,14 @@ class _Schedule:
     """A jointree rooted at its first node, ready for message passing:
     the family hosts, and every node in reverse breadth-first order with
     its parent, its children and the separator towards its parent. The
-    root comes last, with no parent and an empty separator."""
+    root comes last, with no parent and an empty separator. messages maps
+    each node no query input has reached to its leaf factor (or None) and
+    its message, for every later query on the schedule."""
 
     hosts: dict[str, tuple[str, ...]]
     steps: tuple[tuple[str, str | None, tuple[str, ...], frozenset[str]], ...]
     method: str
+    messages: dict[str, tuple[Factor | None, Factor]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _schedule(jt: Jointree, separators: dict[tuple[str, str], frozenset[str]], method: str) -> _Schedule:
@@ -251,15 +254,14 @@ def jointree_propagate(
 
 
 def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evidence,
-               target: Evidence, mode: str, cut=(), table: dict | None = None) -> InferenceResult:
+               target: Evidence, mode: str, cut=()) -> InferenceResult:
     """jointree_propagate over a rooted jointree and the given factors of
     scm, in which the family of each variable in cut is a point mass.
 
     A node is touched when it is a leaf whose family mentions an observed
     or target variable or is cut, or when it has a touched child. An
-    untouched node's message depends only on the compiled factors and the
-    schedule, so a table (node -> its leaf factor or None, its message)
-    keeps it for every later query on the same schedule."""
+    untouched node's message depends only on the factors and the schedule,
+    so the schedule keeps it for every later query."""
     _check_states(scm, evidence)
     _check_states(scm, target)
     by_child = {f.scope[-1]: f for f in factors}
@@ -273,15 +275,13 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
     # from those leaves to the root.
     free = target.assignments.keys() - evidence.assignments.keys()
     changed = {leaf for leaf, f in leaf_factor.items() if not free.isdisjoint(f.scope)}
-    touched: set[str] = set()
-    if table is not None:
-        inputs = evidence.assignments.keys() | target.assignments.keys()
-        touched = {leaf for leaf, f in leaf_factor.items() if not inputs.isdisjoint(f.scope)}
-        touched.update(leaf for v in cut for leaf in sched.hosts[v])
+    inputs = evidence.assignments.keys() | target.assignments.keys()
+    touched = {leaf for leaf, f in leaf_factor.items() if not inputs.isdisjoint(f.scope)}
+    touched.update(leaf for v in cut for leaf in sched.hosts[v])
     for v, _, children, _ in sched.steps:
         if not changed.isdisjoint(children):
             changed.add(v)
-        if table is not None and not touched.isdisjoint(children):
+        if not touched.isdisjoint(children):
             touched.add(v)
 
     def collect(e: Evidence, redo: set[str] | None = None) -> float:
@@ -292,9 +292,9 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
         for v, p, children, sep in sched.steps:
             if redo is not None and v not in redo:
                 continue
-            keep = table is not None and v not in touched
-            if keep and v in table:
-                source, msg[v] = table[v]
+            keep = v not in touched
+            if keep and v in sched.messages:
+                source, msg[v] = sched.messages[v]
                 if source is not leaf_factor.get(v):
                     raise InvariantError(f"the stored message of {v} came from another factor")
                 continue
@@ -312,7 +312,7 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
                                      f"exceeds its separator {sorted(sep)}")
             msg[v] = f
             if keep:
-                table[v] = leaf_factor.get(v), f
+                sched.messages[v] = leaf_factor.get(v), f
         return factor_value(msg[sched.steps[-1][0]])
 
     method = sched.method
@@ -335,8 +335,8 @@ class _Layout:
     layout (world count, shared roots) of an Scm: the unmutilated world
     network and its factors, the base and lifted minfill orders and, in
     the twin case, the base jointree and the Alg-1 twin jointree with its
-    classical or thinned separators, with the messages on each that no
-    query input reaches. Each part is built when an engine first reads it.
+    classical or thinned separators, which keep the messages that no query
+    input reaches. Each part is built when an engine first reads it.
     It holds no reference to the Scm that owns it."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
@@ -348,7 +348,6 @@ class _Layout:
             self.net, self.wmap = twin_network(scm)
         else:
             self.net, self.wmap = n_world_network(scm, shared_roots, world_count)
-        self.messages: dict[str, dict] = {}  # engine -> _propagate's table
 
     @cached_property
     def factors(self) -> list[Factor]:
@@ -453,10 +452,8 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
         return InferenceResult(res.value, res.evidence_probability, tag)
     if engine not in ("jointree", "jointree-thinned"):
         raise ModelError(f"unknown engine {engine!r}")
-    table = None
     if layout.twin:
         sched = layout.twin_schedule if engine == "jointree" else layout.thinned_twin_schedule
-        table = layout.messages.setdefault(engine, {})
     else:
         dag = mutilate(layout.net, do).dag
         jt = jointree_from_order(dag, layout.order)
@@ -465,7 +462,7 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
         else:
             thinned = thin(replicate(jt, dag, 10), dag.internals())
             sched = _schedule(thinned.jointree, thinned.thinned.separators, engine)
-    return _propagate(sched, layout.net, factors, obs, tgt, q.mode, masses, table)
+    return _propagate(sched, layout.net, factors, obs, tgt, q.mode, masses)
 
 
 # ---------------------------------------------------------------- oracles

@@ -503,9 +503,9 @@ def _reference_ve(scm, factors, evidence, order, target, mode, cut=()):
     return inf.InferenceResult(p_both / p_e, p_e, "ve")
 
 
-def _reference_propagate(sched, scm, factors, evidence, target, mode, cut=(), table=None):
+def _reference_propagate(sched, scm, factors, evidence, target, mode, cut=()):
     """Two full passes, every message computed; cut needs nothing more, as
-    its point masses are in factors, and the table is not read."""
+    its point masses are in factors, and the stored messages are not read."""
     import ctwin.inference as inf
 
     inf._check_states(scm, evidence)
