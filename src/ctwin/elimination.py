@@ -89,23 +89,21 @@ def minfill_order(g: MoralGraph) -> EliminationOrder:
     """Greedy minfill (Kjaerulff 1990): eliminate the alive node of least
     key (fill-in, degree, rank of its id in ``sorted(g.nodes)``).
 
-    Eliminating i changes adjacency only inside its neighbourhood N, so
-    only the keys of N and adj(N), the 2-neighbourhood of i, are rescored;
+    Fill-in counts are kept exact as each elimination happens, so no key
+    is rescored from scratch. Eliminating i, with neighbours N, costs each
+    j in N the missing pairs (i, x) for x in N(j) outside N. Each fill
+    edge (a, b) completes one pair for every common neighbour of a and b,
+    and adds to a the missing pairs (b, x) for x in N(a) outside N(b), and
+    to b likewise. Only N and the touched common neighbours get fresh keys;
     a heap yields the least key and skips stale entries.
     """
     nodes = sorted(g.nodes)
     _, adj = _bit_adjacency(g, nodes)
-
-    def key(i):  # fill-in = (d(d-1) - sum over j in N(i) of |N(i) & N(j)|) / 2
-        nb = m = adj[i]
-        d, s = nb.bit_count(), 0
-        while m:  # _bits inlined: this is the hot loop
-            low = m & -m
-            s += (nb & adj[low.bit_length() - 1]).bit_count()
-            m ^= low
-        return ((d * (d - 1) - s) // 2, d, i)
-
-    keys = [key(i) for i in range(len(nodes))]
+    fill = []  # (d(d-1) - sum over j in N(i) of |N(i) & N(j)|) / 2
+    for nb in adj:
+        d = nb.bit_count()
+        fill.append((d * (d - 1) - sum((nb & adj[j]).bit_count() for j in _bits(nb))) // 2)
+    keys = [(f, nb.bit_count(), i) for i, (f, nb) in enumerate(zip(fill, adj))]
     heap = sorted(keys)  # a sorted list is a heap
     seq = []
     while heap:
@@ -114,11 +112,23 @@ def minfill_order(g: MoralGraph) -> EliminationOrder:
         if keys[i] != k:
             continue
         keys[i] = None
-        nb = touched = _eliminate_bit(adj, i)
+        nb = touched = adj[i]
+        adj[i] = 0
         for j in _bits(nb):
-            touched |= adj[j]
+            adj[j] &= ~(1 << i)
+            fill[j] -= (adj[j] & ~nb).bit_count()
+        for a in _bits(nb):
+            for b in _bits(nb & ~adj[a] & ~((2 << a) - 1)):  # fill edges (a, b), a < b
+                common = adj[a] & adj[b]
+                touched |= common
+                for w in _bits(common):
+                    fill[w] -= 1
+                fill[a] += (adj[a] & ~adj[b]).bit_count()
+                fill[b] += (adj[b] & ~adj[a]).bit_count()
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
         for j in _bits(touched):
-            if (k := key(j)) != keys[j]:
+            if (k := (fill[j], adj[j].bit_count(), j)) != keys[j]:
                 keys[j] = k
                 heapq.heappush(heap, k)
         seq.append(nodes[i])

@@ -146,7 +146,10 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
     child) splits off the child's subtree with known counts: rule 1
     needs a host on both sides, rule 2 an endpoint of x-degree 1, and the
     guard no side that has mentions but no host. A committed removal
-    relabels the component it splits."""
+    makes the child's subtree a new component, rooted at the child, and
+    takes its counts off the parent, its ancestors and their component;
+    the rules, guard and witnesses read only each side's counts and
+    smallest host, never the rooting."""
     adj: dict[str, set[str]] = {v: set() for v in mention}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
@@ -154,28 +157,33 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
     parent: dict[str, str | None] = {}
     comp: dict[str, int] = {}
     below: dict[str, list[int]] = {}  # node -> [hosts, mentions] in its subtree
-    comps: list[tuple[int, int, str | None]] = []  # hosts, mentions, smallest host
+    comps: list[list] = []  # [hosts, mentions, smallest host]
 
-    def label(root: str) -> int:
-        parent[root] = None
+    def label(root: str, fresh: bool) -> list:
+        """Make root's subtree, away from its parent, a new component
+        rooted at root; fresh counts every subtree in it, else they are
+        known: a split leaves them as they were."""
         order = [root]
         for v in order:
             comp[v] = len(comps)
-            below[v] = [v in hosts, v in mention]
+            if fresh:
+                below[v] = [v in hosts, v in mention]
             for u in adj[v]:
-                if u != parent[v]:
+                if u != parent.get(v):
                     parent[u] = v
                     order.append(u)
-        for v in reversed(order[1:]):
-            up, down = below[parent[v]], below[v]
-            up[0] += down[0]
-            up[1] += down[1]
-        comps.append((*below[root], min((v for v in order if v in hosts), default=None)))
-        return len(comps) - 1
+        if fresh:
+            for v in reversed(order[1:]):
+                up, down = below[parent[v]], below[v]
+                up[0] += down[0]
+                up[1] += down[1]
+        parent[root] = None
+        comps.append([*below[root], min((v for v in order if v in hosts), default=None)])
+        return comps[-1]
 
     for v in adj:
         if v not in comp:
-            h, m, _ = comps[label(v)]
+            h, m, _ = label(v, True)
             if m and not h:
                 return []  # an unanchored region only splits further
     out = []
@@ -185,7 +193,8 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
             a, b = e
             c = a if parent[a] == b else b
             hc, mc = below[c]
-            ho, mo = comps[comp[c]][0] - hc, comps[comp[c]][1] - mc
+            rest = comps[comp[c]]
+            ho, mo = rest[0] - hc, rest[1] - mc
             if hc and ho:
                 rule, witness = 1, None
             elif (len(adj[a]) == 1 or len(adj[b]) == 1) and (hc or not mc) and (ho or not mo):
@@ -195,8 +204,16 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
                 continue
             adj[a].remove(b)
             adj[b].remove(a)
-            ends = label(a), label(b)
-            out.append((k, e, x, rule, witness or tuple(comps[i][2] for i in ends)))
+            v = p = parent[c]
+            label(c, False)
+            rest[:2] = ho, mo
+            while v is not None:
+                below[v][0] -= hc
+                below[v][1] -= mc
+                v = parent[v]
+            if rest[2] is not None and comp[rest[2]] != comp[p]:
+                rest[2] = min((h for h in hosts if comp[h] == comp[p]), default=None)
+            out.append((k, e, x, rule, witness or (comps[comp[a]][2], comps[comp[b]][2])))
         if len(keep) == len(edges):
             return out
         edges = keep

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from ctwin import (Dag, EliminationOrder, Evidence, ModelError, Rng, eliminate, exact_treewidth, minfill_order,
                    moral_graph, mutilate, n_world_order, parameterize, twin_order)
+from ctwin.bench import generate_dag
 from ctwin.elimination import _bit_adjacency, _bits, _family_adjacency, _replay
 from ctwin.randgen import GENERATORS
-from ctwin.worlds import MoralGraph, n_world_network, twin_network
+from ctwin.worlds import MoralGraph, n_world_network, twin_dag, twin_network
 
 from conftest import half_adder, random_scm
 
@@ -195,6 +196,18 @@ def test_minfill_matches_full_rescan(g):
 @given(world_graphs())
 def test_minfill_matches_full_rescan_on_world_networks(g):
     assert minfill_order(g) == reference_minfill(g)
+
+
+@pytest.mark.parametrize("gen", ["rNET", "rSCM"])
+@pytest.mark.parametrize("n", [30, 50])
+@pytest.mark.parametrize("param", [3, 7])
+def test_minfill_matches_full_rescan_at_benchmark_sizes(gen, n, param):
+    # the fill-in counts are kept exact across many eliminations on the
+    # base and twin moral graphs that ctwin bench and the widths workload see
+    for seed in (11, 12):
+        dag = generate_dag(gen, n, param, seed)
+        for g in (moral_graph(dag), moral_graph(twin_dag(dag))):
+            assert minfill_order(g) == reference_minfill(g)
 
 
 # ------------------------------------------- replay on the lifted, cut network

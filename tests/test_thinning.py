@@ -1,3 +1,6 @@
+from itertools import count
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +17,10 @@ from ctwin import (
     thin,
     thinned_twin_separators,
 )
+from ctwin import thinning
 from ctwin.bench import generate_dag
 from ctwin.jointree import edge_key
+from ctwin.randgen import GENERATORS
 from ctwin.worlds import twin_dag
 
 from conftest import random_scm
@@ -226,3 +231,76 @@ def test_thin_replays_stays_anchored_and_is_a_fixpoint(case):
                 for end in e
             )
             assert not ((rule1 or rule2) and _anchored(rep, rest, x)), (e, x)
+
+
+# ------------------------------------------------ thin: split-only relabel
+
+
+def reference_thin_variable(x, edges, hosts, mention):
+    """_thin_variable relabelling both sides of every split: each removal
+    roots the two components afresh at the edge's ends and recounts them."""
+    adj = {v: set() for v in mention}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    parent, comp, below, comps = {}, {}, {}, []
+
+    def label(root):
+        parent[root] = None
+        order = [root]
+        for v in order:
+            comp[v] = len(comps)
+            below[v] = [v in hosts, v in mention]
+            for u in adj[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    order.append(u)
+        for v in reversed(order[1:]):
+            up, down = below[parent[v]], below[v]
+            up[0] += down[0]
+            up[1] += down[1]
+        comps.append((*below[root], min((v for v in order if v in hosts), default=None)))
+        return len(comps) - 1
+
+    for v in adj:
+        if v not in comp:
+            h, m, _ = comps[label(v)]
+            if m and not h:
+                return []
+    out = []
+    for k in count():
+        keep = []
+        for e in edges:
+            a, b = e
+            c = a if parent[a] == b else b
+            hc, mc = below[c]
+            ho, mo = comps[comp[c]][0] - hc, comps[comp[c]][1] - mc
+            if hc and ho:
+                rule, witness = 1, None
+            elif (len(adj[a]) == 1 or len(adj[b]) == 1) and (hc or not mc) and (ho or not mo):
+                rule, witness = 2, a if len(adj[a]) == 1 else b
+            else:
+                keep.append(e)
+                continue
+            adj[a].remove(b)
+            adj[b].remove(a)
+            ends = label(a), label(b)
+            out.append((k, e, x, rule, witness or tuple(comps[i][2] for i in ends)))
+        if len(keep) == len(edges):
+            return out
+        edges = keep
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(2, 20), st.integers(1, 4),
+       st.integers(0, 2**32), st.booleans(), st.sampled_from((0, 1, 10)))
+def test_thin_matches_the_relabel_both_sides_reference(gen, n, param, seed, twin, bound):
+    dag = generate_dag(gen, n, param, seed)
+    if twin:
+        dag = twin_dag(dag)
+    rep = replicate(jointree_from_order(dag, minfill_order(moral_graph(dag))), dag, bound)
+    got = thin(rep, dag.internals())
+    with mock.patch.object(thinning, "_thin_variable", reference_thin_variable):
+        want = thin(rep, dag.internals())
+    assert got.log == want.log
+    assert got.thinned.separators == want.thinned.separators
