@@ -44,7 +44,6 @@ from .model import (
     load_network,
     save_network,
     scm_factors,
-    validate,
 )
 from .randgen import Rng, gen_rnet, gen_rnet2, gen_rscm, gen_rscm2, parameterize, to_rscm
 from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators

@@ -15,7 +15,7 @@ from .bench import SuiteConfig, find_order_tightness, find_treewidth_tightness, 
 from .elimination import eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
 from .inference import CounterfactualQuery, counterfactual
 from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
-from .model import Evidence, InvariantError, ModelError, load_network, network_to_dict, validate
+from .model import Evidence, InvariantError, ModelError, load_network, network_to_dict
 from .randgen import GENERATORS, Rng, parameterize
 from .thinning import replicate, thin, thinned_twin_separators
 from .worlds import moral_graph, mutilate, n_world_network, twin_dag, twin_network
@@ -28,14 +28,6 @@ def _emit(doc, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load(path):
-    scm = load_network(path)
-    problems = validate(scm)
-    if problems:
-        raise ModelError("; ".join(problems))
-    return scm
 
 
 def _evidence(spec: str) -> Evidence:
@@ -73,7 +65,7 @@ def cmd_gen(a):
 
 
 def cmd_twin(a):
-    net, wmap = twin_network(_load(a.net))
+    net, wmap = twin_network(load_network(a.net))
     _emit(network_to_dict(net, wmap), a.out)
 
 
@@ -82,18 +74,18 @@ def _shared(scm, spec: str) -> tuple[str, ...]:
 
 
 def cmd_nworld(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     net, wmap = n_world_network(scm, _shared(scm, a.shared), a.worlds)
     _emit(network_to_dict(net, wmap), a.out)
 
 
 def cmd_mutilate(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     _emit(network_to_dict(mutilate(scm, _evidence(a.do))), a.out)
 
 
 def cmd_order(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     order = minfill_order(moral_graph(scm.dag))
     doc = {"sequence": list(order.sequence),
            "width": eliminate(moral_graph(scm.dag), order).width}
@@ -109,13 +101,13 @@ def cmd_order(a):
 
 
 def cmd_jointree(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     jt = _base_jointree(scm)
     _emit(_separators_doc(jt, classical_separators(jt)), a.out)
 
 
 def cmd_twin_jointree(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     jt = _base_jointree(scm)
     twin_jt = make_twin_jointree(jt, scm.dag)
     doc = _separators_doc(twin_jt, twin_separators_direct(classical_separators(jt), twin_jt))
@@ -124,7 +116,7 @@ def cmd_twin_jointree(a):
 
 
 def cmd_thin(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     jt = _base_jointree(scm)
     rep = replicate(jt, scm.dag, a.chain_bound)
     thinned = thin(rep, scm.dag.internals())
@@ -173,7 +165,7 @@ def _query(q, roots) -> CounterfactualQuery:
 
 
 def cmd_infer(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     with open(a.query, "r", encoding="utf-8") as fh:
         query = _query(json.load(fh), scm.dag.roots())
     res = counterfactual(scm, query, engine=a.engine)
@@ -209,7 +201,7 @@ def cmd_audit(a):
 
 
 def cmd_treewidth(a):
-    scm = _load(a.net)
+    scm = load_network(a.net)
     g = moral_graph(scm.dag)
     if a.exact:
         doc = {"treewidth": exact_treewidth(g, a.node_limit), "exact": True}

@@ -13,8 +13,7 @@ from math import prod
 import numpy as np
 
 from .elimination import EliminationOrder, _family_adjacency, _replay, minfill_order, n_world_order, twin_order
-from .jointree import (Jointree, SeparatorAssignment, classical_separators, edge_key, jointree_from_order,
-                       make_twin_jointree, rooted)
+from .jointree import Jointree, classical_separators, edge_key, jointree_from_order, make_twin_jointree
 from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
 from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
 from .worlds import _point_masses, moral_graph, mutilate, n_world_network, twin_network
@@ -223,9 +222,9 @@ class _Schedule:
 
 
 def _schedule(jt: Jointree, separators: dict[tuple[str, str], frozenset[str]], method: str) -> _Schedule:
-    sink = jt.nodes[0]
     nb = jt.neighbors()
-    order, parent = rooted(nb, sink)
+    order, parent = jt.rooting
+    sink = order[0]
     steps = tuple((v, parent[v], tuple(u for u in nb[v] if u != parent[v]),
                    separators[edge_key(v, parent[v])]) for v in reversed(order[1:]))
     return _Schedule(jt.hosts, steps + ((sink, None, tuple(nb[sink]), frozenset()),), method)
@@ -237,7 +236,6 @@ def jointree_propagate(
     evidence: Evidence,
     target: Evidence,
     mode: str = "conditional",
-    separators: SeparatorAssignment | None = None,
 ) -> InferenceResult:
     """Message passing over (possibly thinned) separators. Targets are
     asserted as additional evidence so any leaf can produce the joint."""
@@ -247,7 +245,7 @@ def jointree_propagate(
         method = "jointree-thinned"
     else:
         jt = jt_or_thinned
-        seps = separators if separators is not None else classical_separators(jt)
+        seps = classical_separators(jt)
         method = "jointree"
     return _propagate(_schedule(jt, seps.separators, method), scm, scm_factors(scm),
                       evidence, target, mode)

@@ -6,7 +6,7 @@ conversion, and the direct twin separator lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .elimination import EliminationOrder, _family_adjacency, _replay
 from .model import Dag, InvariantError, ModelError
@@ -21,6 +21,11 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
 class Jointree:
     """Tree plus family hosting. Only leaves host; each leaf hosts exactly
     one family; a family may be hosted at several leaves (replicas).
+
+    Construction raises ModelError on any violated invariant, and derives
+    once the neighbour lists, the leaf -> family map and `rooting`, the
+    breadth-first order and parents from nodes[0]. Callers must not change
+    them; `dataclasses.replace` derives them afresh.
 
     For twin jointrees produced by `make_twin_jointree`, `edge_class`
     labels every edge duplicated / duplicate / invariant,
@@ -37,40 +42,44 @@ class Jointree:
     duplicate_base: dict[tuple[str, str], tuple[str, str]] | None = None
     var_dup: dict[str, str] | None = None
 
-    def neighbors(self) -> dict[str, list[str]]:
+    _neighbors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _leaf_family: dict[str, str] = field(init=False, repr=False, compare=False)
+    rooting: tuple[list[str], dict[str, str | None]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.edges) != len(self.nodes) - 1:
+            raise ModelError("tree must have n-1 edges")
         nb: dict[str, list[str]] = {v: [] for v in self.nodes}
         for a, b in self.edges:
             nb[a].append(b)
             nb[b].append(a)
-        return nb
-
-    def leaf_family(self) -> dict[str, str]:
-        """Map each host leaf to the single family child it hosts."""
-        out: dict[str, str] = {}
+        order, parent = rooted(nb, self.nodes[0])
+        if len(order) != len(self.nodes):
+            raise ModelError("tree is not connected")
+        lf: dict[str, str] = {}
         for child, leaves in self.hosts.items():
             for leaf in leaves:
-                if leaf in out:
+                if leaf in lf:
                     raise ModelError(f"leaf {leaf!r} hosts two families")
-                out[leaf] = child
-        return out
-
-    def check(self) -> None:
-        """Raise on any violated jointree invariant."""
-        nb = self.neighbors()
-        if len(self.edges) != len(self.nodes) - 1:
-            raise ModelError("tree must have n-1 edges")
-        if self.nodes and len(rooted(nb, self.nodes[0])[0]) != len(self.nodes):
-            raise ModelError("tree is not connected")
-        lf = self.leaf_family()
-        for leaf in lf:
-            if len(nb[leaf]) > 1:
-                raise ModelError(f"host {leaf!r} is not a leaf")
+                if len(nb[leaf]) > 1:
+                    raise ModelError(f"host {leaf!r} is not a leaf")
+                lf[leaf] = child
         for v in self.nodes:
             if len(nb[v]) <= 1 and v not in lf:
                 raise ModelError(f"leaf {v!r} hosts no family")
         for child in self.families:
             if not self.hosts.get(child):
                 raise ModelError(f"family of {child!r} has no host")
+        object.__setattr__(self, "_neighbors", nb)
+        object.__setattr__(self, "_leaf_family", lf)
+        object.__setattr__(self, "rooting", (order, parent))
+
+    def neighbors(self) -> dict[str, list[str]]:
+        return self._neighbors
+
+    def leaf_family(self) -> dict[str, str]:
+        """Map each host leaf to the single family child it hosts."""
+        return self._leaf_family
 
 
 def rooted(nb, root: str) -> tuple[list[str], dict[str, str | None]]:
@@ -102,9 +111,7 @@ def _log2_big(total: int) -> float:
 
 def _widths(clusters: dict[str, frozenset[str]]) -> tuple[int, float]:
     sizes = [len(c) for c in clusters.values()]
-    width = max(sizes) - 1 if sizes else 0
-    normalized = _log2_big(sum(1 << s for s in sizes)) if sizes else 0.0
-    return width, normalized
+    return max(sizes) - 1, _log2_big(sum(1 << s for s in sizes))
 
 
 def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
@@ -112,7 +119,7 @@ def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
     nb = jt.neighbors()
     clusters = {}
     for v in jt.nodes:
-        if v in lf and len(nb[v]) <= 1:
+        if v in lf:
             clusters[v] = jt.families[lf[v]]
         else:
             c: frozenset[str] = frozenset()
@@ -125,13 +132,9 @@ def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
 
 def classical_separators(jt: Jointree) -> SeparatorAssignment:
     """S_ij = variables hosted on both sides of edge (i, j)."""
-    lf = jt.leaf_family()
     nb = jt.neighbors()
-    if not jt.nodes:
-        return SeparatorAssignment({}, {}, 0, 0.0)
-    hosted = {leaf: jt.families[child] for leaf, child in lf.items()}
-    root = jt.nodes[0]
-    order, parent = rooted(nb, root)
+    hosted = {leaf: jt.families[child] for leaf, child in jt.leaf_family().items()}
+    order, parent = jt.rooting
     below: dict[str, frozenset[str]] = {}
     for v in reversed(order):
         s = hosted.get(v, frozenset())
@@ -139,7 +142,7 @@ def classical_separators(jt: Jointree) -> SeparatorAssignment:
             if parent.get(u) == v:
                 s |= below[u]
         below[v] = s
-    above: dict[str, frozenset[str]] = {root: frozenset()}
+    above: dict[str, frozenset[str]] = {order[0]: frozenset()}
     for v in order:
         kids = [u for u in nb[v] if parent.get(u) == v]
         base = above[v] | hosted.get(v, frozenset())
@@ -209,9 +212,7 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
                     stack.append(u)
     nodes = [v for v in nodes if v not in pruned]
     edges = sorted(e for e in edges if e[0] not in pruned and e[1] not in pruned)
-    jt = Jointree(tuple(nodes), tuple(edges), hosts, families)
-    jt.check()
-    return jt
+    return Jointree(tuple(nodes), tuple(edges), hosts, families)
 
 
 def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
@@ -291,7 +292,7 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     for e in edges:
         edge_class.setdefault(e, "invariant")
 
-    out = Jointree(
+    return Jointree(
         tuple(nodes),
         tuple(edges),
         {c: tuple(hs) for c, hs in hosts.items()},
@@ -300,8 +301,6 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
         duplicate_base=duplicate_base,
         var_dup=var_dup,
     )
-    out.check()
-    return out
 
 
 def _primed(s: frozenset[str], var_dup: dict[str, str]) -> frozenset[str]:

@@ -149,52 +149,6 @@ class Scm:
         return self.internal_cpts[v][self.cpt_index(v, parent_states)]
 
 
-def validate(scm: Scm) -> list[str]:
-    """Return a list of invariant violations; empty means valid."""
-    out = []
-    dag = scm.dag
-    if dag.topological_order() is None:
-        out.append("cycle: graph has no topological order")
-    for v in dag.nodes:
-        var = scm.variables.get(v)
-        if var is None:
-            out.append(f"{v}: missing variable metadata")
-            continue
-        if var.cardinality < 1:
-            out.append(f"{v}: non-positive cardinality")
-        is_root = not dag.parents[v]
-        if is_root != (var.kind == "exogenous-root"):
-            out.append(f"{v}: kind inconsistent with parent list")
-        if is_root:
-            if v not in scm.root_tables:
-                out.append(f"{v}: root without distribution")
-            elif v in scm.internal_cpts:
-                out.append(f"{v}: root with both dist and cpt")
-            else:
-                t = scm.root_tables[v]
-                if len(t) != var.cardinality:
-                    out.append(f"{v}: distribution length != cardinality")
-                elif any(x < 0 for x in t):
-                    out.append(f"{v}: negative probability")
-                elif abs(sum(t) - 1.0) > 1e-12:
-                    out.append(f"{v}: distribution does not sum to 1")
-        else:
-            if not var.functional:
-                out.append(f"{v}: internal SCM variable must be functional")
-            if v not in scm.internal_cpts:
-                out.append(f"{v}: internal without cpt")
-            elif v in scm.root_tables:
-                out.append(f"{v}: internal with both dist and cpt")
-            else:
-                cpt = scm.internal_cpts[v]
-                want = prod(scm.card(p) for p in dag.parents[v])
-                if len(cpt) != want:
-                    out.append(f"{v}: cpt length {len(cpt)} != {want}")
-                elif any(not (0 <= s < var.cardinality) for s in cpt):
-                    out.append(f"{v}: cpt state index out of range")
-    return out
-
-
 @dataclass(frozen=True)
 class Factor:
     """Discrete potential over an ordered variable scope.

@@ -22,7 +22,6 @@ from .model import Dag, ModelError
 class ThinnedJointree:
     jointree: Jointree
     thinned: SeparatorAssignment
-    functional_set: frozenset[str]
     log: tuple[dict, ...]  # removal audit: {edge, variable, rule, witness}
 
 
@@ -38,11 +37,8 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
-    nb: dict[str, set[str]] = {v: set() for v in nodes}
-    for a, b in edges:
-        nb[a].add(b)
-        nb[b].add(a)
-    leaf_of = jt.leaf_family()
+    nb = {v: set(us) for v, us in jt.neighbors().items()}
+    leaf_of = dict(jt.leaf_family())
     host_depth = {leaf: 0 for leaf in leaf_of}
     counter = 0
 
@@ -52,8 +48,6 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
         nonlocal counter
         if not nb[h]:
             return None
-        if len(nb[h]) != 1:
-            raise ModelError(f"host {h!r} is not a leaf")
         (u,) = nb[h]
         if u in leaf_of:
             aux = f"rx{counter}"
@@ -94,14 +88,12 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
             leaf_of[leaf] = x
             host_depth[leaf] = depth
 
-    out = replace(
+    return replace(
         jt,
         nodes=tuple(nodes),
         edges=tuple(sorted(edges)),
         hosts={c: tuple(hs) for c, hs in hosts.items()},
     )
-    out.check()
-    return out
 
 
 def thin(jt: Jointree, functional) -> ThinnedJointree:
@@ -135,7 +127,7 @@ def thin(jt: Jointree, functional) -> ThinnedJointree:
         sep[e].discard(x)
         log.append({"edge": e, "variable": x, "rule": rule, "witness": witness})
     assignment = _assemble(jt, {e: frozenset(s) for e, s in sep.items()})
-    return ThinnedJointree(jt, assignment, functional, tuple(log))
+    return ThinnedJointree(jt, assignment, tuple(log))
 
 
 def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]:
@@ -223,9 +215,4 @@ def thinned_twin_separators(base: ThinnedJointree, twin_jt: Jointree) -> Thinned
     """Thm-3 lifting: thinned base separators carry over to the twin
     jointree by the duplicated/duplicate/invariant edge rules."""
     lifted = lift_separators(base.thinned.separators, twin_jt)
-    assignment = _assemble(twin_jt, lifted)
-    var_dup = twin_jt.var_dup or {}
-    functional = base.functional_set | frozenset(
-        var_dup[v] for v in base.functional_set if v in var_dup
-    )
-    return ThinnedJointree(twin_jt, assignment, functional, ())
+    return ThinnedJointree(twin_jt, _assemble(twin_jt, lifted), ())

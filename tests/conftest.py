@@ -1,6 +1,7 @@
 import pytest
 
 from ctwin import Dag, Scm, Variable
+from ctwin.model import network_from_dict, network_to_dict
 
 
 def half_adder() -> Scm:
@@ -31,6 +32,16 @@ def half_adder() -> Scm:
         "C": tuple((a & b) if y else 0 for a in range(2) for b in range(2) for y in range(2)),
     }
     return Scm(dag, variables, tables, cpts)
+
+
+def assert_round_trips(net: Scm) -> None:
+    """net passes every rule of the parser: written out and read back, it
+    has the same graph, variables and tables."""
+    back = network_from_dict(network_to_dict(net))
+    assert back.dag == net.dag
+    assert back.variables == net.variables
+    assert back.root_tables == net.root_tables
+    assert back.internal_cpts == net.internal_cpts
 
 
 @pytest.fixture

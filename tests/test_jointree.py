@@ -21,7 +21,6 @@ def base_jointree(scm):
 
 def test_jointree_invariants(adder):
     jt = base_jointree(adder)
-    jt.check()
     lf = jt.leaf_family()
     nb = jt.neighbors()
     # every leaf hosts exactly one family; hosts are leaves
@@ -31,16 +30,26 @@ def test_jointree_invariants(adder):
     assert set(jt.hosts) == set(adder.dag.nodes)
 
 
-def test_check_rejects_disconnected():
-    jt = Jointree(
-        ("a", "b", "c", "d"),
-        (("a", "b"), ("c", "d"), ("a", "c")),
-        {"x": ("b",)},
-        {"x": frozenset({"x"})},
-    )
-    with pytest.raises(ModelError):
+PATH = (("a", "b"), ("b", "c"))  # a - b - c
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, hosts, families, problem",
+    [
+        pytest.param("abc", PATH[:1], {"x": "a", "y": "c"}, "xy", "n-1 edges", id="edge-count"),
+        pytest.param("abcd", PATH + (("a", "c"),), {"x": "d"}, "x", "not connected", id="disconnected"),
+        pytest.param("abc", PATH, {"x": "b", "y": "a", "z": "c"}, "xyz", "'b' is not a leaf", id="host-not-leaf"),
         # b and d are leaves but d hosts nothing
-        jt.check()
+        pytest.param("abcd", (("a", "b"), ("c", "d"), ("a", "c")), {"x": "b"}, "x", "'d' hosts no family",
+                     id="unhosted-leaf"),
+        pytest.param("abc", PATH, {"x": "a", "y": "c"}, "xyz", "'z' has no host", id="family-without-host"),
+        pytest.param("abc", PATH, {"x": "a", "y": "ca"}, "xy", "'a' hosts two families", id="leaf-hosts-two"),
+    ],
+)
+def test_construction_rejects_invalid_tree(nodes, edges, hosts, families, problem):
+    with pytest.raises(ModelError, match=problem):
+        Jointree(tuple(nodes), edges, {c: tuple(hs) for c, hs in hosts.items()},
+                 {c: frozenset(c) for c in families})
 
 
 def test_classical_separators_definition(adder):
@@ -96,7 +105,6 @@ def test_normalized_width_formula(adder):
 def test_twin_jointree_shape(adder):
     jt = base_jointree(adder)
     tjt = make_twin_jointree(jt, adder.dag)
-    tjt.check()
     # at most 2n nodes
     assert len(tjt.nodes) <= 2 * len(jt.nodes) + 1  # +1 for a possible aux root
     assert set(tjt.hosts) == set(adder.dag.nodes) | {"A'", "B'", "S'", "C'"}

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ctwin import Dag, Evidence, Factor, ModelError, Variable, load_network, save_network, scm_factors, validate
+from ctwin import Dag, Evidence, Factor, ModelError, Variable, load_network, save_network, scm_factors
 from ctwin.model import network_from_dict, network_to_dict
 
-from conftest import half_adder
+from conftest import assert_round_trips, half_adder
 
 
 def test_dag_rejects_cycles():
@@ -32,13 +32,14 @@ def test_dag_accessors():
 
 
 def test_validate_clean_model(adder):
-    assert validate(adder) == []
+    assert_round_trips(adder)
 
 
 def test_validate_flags_bad_distribution(adder):
     broken = adder.root_tables | {"X": (0.5, 0.6)}
     bad = type(adder)(adder.dag, adder.variables, broken, adder.internal_cpts)
-    assert any("X" in msg for msg in validate(bad))
+    with pytest.raises(ModelError, match="X"):
+        assert_round_trips(bad)
 
 
 def test_scm_child_state(adder):

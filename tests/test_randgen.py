@@ -1,8 +1,10 @@
 import pytest
 
-from ctwin import Dag, ModelError, validate
+from ctwin import Dag, ModelError
 from ctwin.model import _topological_order
 from ctwin.randgen import Rng, _splitmix64, gen_rnet, gen_rnet2, gen_rscm, gen_rscm2, parameterize, to_rscm
+
+from conftest import assert_round_trips
 
 
 def test_splitmix64_known_vector():
@@ -138,9 +140,9 @@ def test_gen_rnet2_matches_whole_graph_checks(n, max_degree):
 
 
 def test_parameterize_validates():
-    for kind, gen in (("rSCM", gen_rscm), ("rSCM2", gen_rscm2)):
+    for gen in (gen_rscm, gen_rscm2):
         scm = gen(12, 3, Rng(13))
-        assert validate(scm) == [], kind
+        assert_round_trips(scm)
         for v in scm.dag.nodes:
             if scm.dag.parents[v]:
                 assert v in scm.internal_cpts

