@@ -14,10 +14,9 @@ from itertools import permutations
 
 from .elimination import (EliminationOrder, _bits, _eliminate_bit, _lift_order, eliminate, exact_treewidth, minfill_order,
                           n_world_order, twin_order)
-from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
 from .model import Dag, ModelError
 from .randgen import GENERATORS, Rng
-from .thinning import replicate, thin, thinned_twin_separators
+from .thinning import CHAIN_BOUND, Structures
 from .worlds import generalized_n_world, moral_graph, twin_dag, world_name
 
 METHODS = ("base_mf", "twin_alg1", "twin_mf", "base_mf_rls", "twin_thm3", "twin_mf_rls")
@@ -29,7 +28,7 @@ class SuiteConfig:
     n_values: tuple[int, ...]
     param_values: tuple[int, ...]  # max parents (rNET*) or max degree (rNET2*)
     reps: int = 50
-    chain_bound: int = 10
+    chain_bound: int = CHAIN_BOUND
     seed: int = 0
     workers: int = 1
     timings: bool = False
@@ -56,32 +55,12 @@ def generate_dag(generator: str, n: int, param: int, seed: int) -> Dag:
 
 def instance_widths(dag: Dag, chain_bound: int) -> dict[str, tuple[int, float]]:
     """The six (width, normalized width) measurements for one base DAG."""
-    out = {}
-    base_jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
-    base_seps = classical_separators(base_jt)
-    out["base_mf"] = (base_seps.width, base_seps.normalized_width)
-
-    twin_jt = make_twin_jointree(base_jt, dag)
-    alg1 = twin_separators_direct(base_seps, twin_jt)
-    out["twin_alg1"] = (alg1.width, alg1.normalized_width)
-
+    base = Structures(dag, minfill_order(moral_graph(dag)), chain_bound)
     tdag = twin_dag(dag)
-    tw_jt = jointree_from_order(tdag, minfill_order(moral_graph(tdag)))
-    tw_seps = classical_separators(tw_jt)
-    out["twin_mf"] = (tw_seps.width, tw_seps.normalized_width)
-
-    rep = replicate(base_jt, dag, chain_bound)
-    thinned = thin(rep, dag.internals())
-    out["base_mf_rls"] = (thinned.thinned.width, thinned.thinned.normalized_width)
-
-    twin_rep = make_twin_jointree(rep, dag)
-    thm3 = thinned_twin_separators(thinned, twin_rep)
-    out["twin_thm3"] = (thm3.thinned.width, thm3.thinned.normalized_width)
-
-    tw_rep = replicate(tw_jt, tdag, chain_bound)
-    tw_thinned = thin(tw_rep, tdag.internals())
-    out["twin_mf_rls"] = (tw_thinned.thinned.width, tw_thinned.thinned.normalized_width)
-    return out
+    twin = Structures(tdag, minfill_order(moral_graph(tdag)), chain_bound)
+    parts = (base.separators, base.twin_separators, twin.separators,
+             base.thinned.thinned, base.thinned_twin.thinned, twin.thinned.thinned)
+    return {m: (s.width, s.normalized_width) for m, s in zip(METHODS, parts)}
 
 
 @dataclass(frozen=True)
@@ -180,21 +159,13 @@ def audit_instance(dag: Dag, chain_bound: int, rng: Rng) -> list[dict]:
     if wt > 2 * w + 1:
         flag("cor1: twin order width <= 2w+1", wt, 2 * w + 1)
 
-    base_jt = jointree_from_order(dag, order)
-    base_seps = classical_separators(base_jt)
-    twin_jt = make_twin_jointree(base_jt, dag)
-    alg1 = twin_separators_direct(base_seps, twin_jt)
-    if alg1.width > 2 * base_seps.width + 1:
-        flag("cor3: twin jointree width <= 2w+1", alg1.width, 2 * base_seps.width + 1)
-    if len(twin_jt.nodes) > 2 * len(base_jt.nodes):
-        flag("cor3: twin jointree nodes <= 2n", len(twin_jt.nodes), 2 * len(base_jt.nodes))
-
-    rep = replicate(base_jt, dag, chain_bound)
-    thinned = thin(rep, dag.internals())
-    twin_rep = make_twin_jointree(rep, dag)
-    thm3 = thinned_twin_separators(thinned, twin_rep)
-    if thm3.thinned.width > 2 * thinned.thinned.width + 1:
-        flag("cor4: thinned twin width <= 2w+1", thm3.thinned.width, 2 * thinned.thinned.width + 1)
+    s = Structures(dag, order, chain_bound)
+    for bound, observed, limit in (
+            ("cor3: twin jointree width <= 2w+1", s.twin_separators.width, 2 * s.separators.width + 1),
+            ("cor3: twin jointree nodes <= 2n", len(s.twin_jointree.nodes), 2 * len(s.jointree.nodes)),
+            ("cor4: thinned twin width <= 2w+1", s.thinned_twin.thinned.width, 2 * s.thinned.thinned.width + 1)):
+        if observed > limit:
+            flag(bound, observed, limit)
 
     roots = list(dag.roots())
     for n_worlds in (2, 3, 5):
@@ -239,7 +210,7 @@ def audit_generalized(dag: Dag, n_worlds: int, rng: Rng) -> list[dict]:
     return []
 
 
-def run_bound_audit(instances: int = 1000, seed: int = 0, chain_bound: int = 10) -> dict:
+def run_bound_audit(instances: int = 1000, seed: int = 0, chain_bound: int = CHAIN_BOUND) -> dict:
     """Spread `instances` across the four generators and small cells;
     report all bound violations (expected: none)."""
     cells = [(g, n, p) for g in GENERATORS for n in (10, 20, 30) for p in (2, 3, 5)]

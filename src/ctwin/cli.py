@@ -14,10 +14,9 @@ import sys
 from .bench import SuiteConfig, find_order_tightness, find_treewidth_tightness, run_bound_audit, run_suite
 from .elimination import eliminate, exact_treewidth, minfill_order, n_world_order, twin_order
 from .inference import CounterfactualQuery, counterfactual
-from .jointree import classical_separators, jointree_from_order, make_twin_jointree, twin_separators_direct
 from .model import Evidence, InvariantError, ModelError, load_network, network_to_dict
 from .randgen import GENERATORS, Rng, parameterize
-from .thinning import replicate, thin, thinned_twin_separators
+from .thinning import CHAIN_BOUND, Structures
 from .worlds import moral_graph, mutilate, n_world_network, twin_dag, twin_network
 
 
@@ -53,9 +52,9 @@ def _separators_doc(jt, seps):
     }
 
 
-def _base_jointree(scm):
-    order = minfill_order(moral_graph(scm.dag))
-    return jointree_from_order(scm.dag, order)
+def _structures(a, chain_bound=CHAIN_BOUND) -> Structures:
+    dag = load_network(a.net).dag
+    return Structures(dag, minfill_order(moral_graph(dag)), chain_bound)
 
 
 def cmd_gen(a):
@@ -101,36 +100,28 @@ def cmd_order(a):
 
 
 def cmd_jointree(a):
-    scm = load_network(a.net)
-    jt = _base_jointree(scm)
-    _emit(_separators_doc(jt, classical_separators(jt)), a.out)
+    s = _structures(a)
+    _emit(_separators_doc(s.jointree, s.separators), a.out)
 
 
 def cmd_twin_jointree(a):
-    scm = load_network(a.net)
-    jt = _base_jointree(scm)
-    twin_jt = make_twin_jointree(jt, scm.dag)
-    doc = _separators_doc(twin_jt, twin_separators_direct(classical_separators(jt), twin_jt))
-    doc["edge_class"] = {f"{x}|{y}": c for (x, y), c in sorted(twin_jt.edge_class.items())}
+    s = _structures(a)
+    doc = _separators_doc(s.twin_jointree, s.twin_separators)
+    doc["edge_class"] = {f"{x}|{y}": c for (x, y), c in sorted(s.twin_jointree.edge_class.items())}
     _emit(doc, a.out)
 
 
 def cmd_thin(a):
-    scm = load_network(a.net)
-    jt = _base_jointree(scm)
-    rep = replicate(jt, scm.dag, a.chain_bound)
-    thinned = thin(rep, scm.dag.internals())
-    doc = _separators_doc(rep, thinned.thinned)
+    s = _structures(a, a.chain_bound)
+    doc = _separators_doc(s.thinned.jointree, s.thinned.thinned)
     doc["thinned_separators"] = doc.pop("separators")
     doc["thinning_log"] = [
         {"edge": list(r["edge"]), "variable": r["variable"], "rule": r["rule"],
          "witness": list(r["witness"]) if isinstance(r["witness"], tuple) else r["witness"]}
-        for r in thinned.log
+        for r in s.thinned.log
     ]
     if a.twin:
-        twin_jt = make_twin_jointree(rep, scm.dag)
-        lifted = thinned_twin_separators(thinned, twin_jt)
-        doc["twin"] = _separators_doc(twin_jt, lifted.thinned)
+        doc["twin"] = _separators_doc(s.thinned_twin.jointree, s.thinned_twin.thinned)
     _emit(doc, a.out)
 
 
@@ -264,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thin", help="replicate and thin a jointree")
     p.add_argument("--net", required=True)
-    p.add_argument("--chain-bound", type=int, default=10)
+    p.add_argument("--chain-bound", type=int, default=CHAIN_BOUND)
     p.add_argument("--twin", action="store_true", help="also lift to thinned twin separators")
     common(p)
     p.set_defaults(fn=cmd_thin)
@@ -281,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated node counts")
     p.add_argument("--param", required=True, help="comma-separated p/d values")
     p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--chain-bound", type=int, default=10)
+    p.add_argument("--chain-bound", type=int, default=CHAIN_BOUND)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -290,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="theorem-bound audit over random instances")
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--chain-bound", type=int, default=10)
+    p.add_argument("--chain-bound", type=int, default=CHAIN_BOUND)
     p.add_argument("--tightness", type=int, default=0,
                    help="also run the tightness searches up to this node count")
     p.add_argument("--seed", type=int, default=0)

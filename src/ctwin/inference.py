@@ -13,9 +13,9 @@ from math import prod
 import numpy as np
 
 from .elimination import EliminationOrder, _family_adjacency, _replay, minfill_order, n_world_order, twin_order
-from .jointree import Jointree, classical_separators, edge_key, jointree_from_order, make_twin_jointree
+from .jointree import Jointree, classical_separators, edge_key
 from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
-from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
+from .thinning import Structures, ThinnedJointree
 from .worlds import _point_masses, moral_graph, mutilate, n_world_network, twin_network
 
 
@@ -331,11 +331,11 @@ def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evid
 class _Layout:
     """The query-independent part of counterfactual queries on one world
     layout (world count, shared roots) of an Scm: the unmutilated world
-    network and its factors, the base and lifted minfill orders and, in
-    the twin case, the base jointree and the Alg-1 twin jointree with its
-    classical or thinned separators, which keep the messages that no query
-    input reaches. Each part is built when an engine first reads it.
-    It holds no reference to the Scm that owns it."""
+    network and its factors, the `Structures` of the base minfill order,
+    the lifted order and, in the twin case, one schedule per jointree
+    engine, which keeps the messages that no query input reaches.
+    Each part is built when an engine first reads it. It holds no
+    reference to the Scm that owns it."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
         self.dag = scm.dag
@@ -346,6 +346,7 @@ class _Layout:
             self.net, self.wmap = twin_network(scm)
         else:
             self.net, self.wmap = n_world_network(scm, shared_roots, world_count)
+        self.schedules: dict[str, _Schedule] = {}  # engine -> its twin schedule
 
     @cached_property
     def factors(self) -> list[Factor]:
@@ -361,34 +362,29 @@ class _Layout:
                 for v, f in zip(self.net.dag.nodes, self.factors)]
 
     @cached_property
-    def base_order(self) -> EliminationOrder:
-        return minfill_order(moral_graph(self.dag))
+    def structures(self) -> Structures:
+        return Structures(self.dag, minfill_order(moral_graph(self.dag)))
 
     @cached_property
     def order(self) -> EliminationOrder:
         if self.twin:
-            return twin_order(self.base_order, self.dag)
-        return n_world_order(self.base_order, self.dag, self.shared_roots, self.world_count)
+            return twin_order(self.structures.order, self.dag)
+        return n_world_order(self.structures.order, self.dag, self.shared_roots, self.world_count)
 
-    @cached_property
-    def base_jointree(self) -> Jointree:
-        return jointree_from_order(self.dag, self.base_order)
-
-    @cached_property
-    def twin_schedule(self) -> _Schedule:
-        """The twin jointree with classical separators. A jointree of the
-        unmutilated network stays valid after mutilation, because
-        families only shrink."""
-        jt = make_twin_jointree(self.base_jointree, self.dag)
-        return _schedule(jt, classical_separators(jt).separators, "jointree")
-
-    @cached_property
-    def thinned_twin_schedule(self) -> _Schedule:
-        """The twin jointree of the replicated base jointree, with the
-        thinned base separators lifted by Thm 3."""
-        rep = replicate(self.base_jointree, self.dag, 10)
-        thinned = thinned_twin_separators(thin(rep, self.dag.internals()), make_twin_jointree(rep, self.dag))
-        return _schedule(thinned.jointree, thinned.thinned.separators, "jointree-thinned")
+    def schedule(self, engine: str) -> _Schedule:
+        """The engine's twin jointree with Thm-2 or Thm-3 separators, built
+        once: it stays valid after mutilation, since families only shrink.
+        Of the parts it is built from, only the base jointree is kept."""
+        s = self.structures
+        if engine not in self.schedules:
+            if engine == "jointree":
+                jt, seps = s.twin_jointree, s.twin_separators
+            else:
+                jt, seps = s.thinned_twin.jointree, s.thinned_twin.thinned
+            self.schedules[engine] = _schedule(jt, seps.separators, engine)
+            for part in ("separators", "twin_jointree", "twin_separators", "thinned", "thinned_twin"):
+                vars(s).pop(part, None)
+        return self.schedules[engine]
 
 
 def _query_network(scm: Scm, q: CounterfactualQuery):
@@ -451,15 +447,14 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
     if engine not in ("jointree", "jointree-thinned"):
         raise ModelError(f"unknown engine {engine!r}")
     if layout.twin:
-        sched = layout.twin_schedule if engine == "jointree" else layout.thinned_twin_schedule
+        sched = layout.schedule(engine)
     else:
-        dag = mutilate(layout.net, do).dag
-        jt = jointree_from_order(dag, layout.order)
+        s = Structures(mutilate(layout.net, do).dag, layout.order)
         if engine == "jointree":
-            sched = _schedule(jt, classical_separators(jt).separators, engine)
+            jt, seps = s.jointree, s.separators
         else:
-            thinned = thin(replicate(jt, dag, 10), dag.internals())
-            sched = _schedule(thinned.jointree, thinned.thinned.separators, engine)
+            jt, seps = s.thinned.jointree, s.thinned.thinned
+        sched = _schedule(jt, seps.separators, engine)
     return _propagate(sched, layout.net, factors, obs, tgt, q.mode, masses)
 
 

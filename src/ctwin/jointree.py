@@ -51,6 +51,8 @@ class Jointree:
             raise ModelError("tree must have n-1 edges")
         nb: dict[str, list[str]] = {v: [] for v in self.nodes}
         for a, b in self.edges:
+            if a not in nb or b not in nb:
+                raise ModelError(f"edge end {a if b in nb else b!r} is not a node")
             nb[a].append(b)
             nb[b].append(a)
         order, parent = rooted(nb, self.nodes[0])
@@ -61,6 +63,8 @@ class Jointree:
             for leaf in leaves:
                 if leaf in lf:
                     raise ModelError(f"leaf {leaf!r} hosts two families")
+                if leaf not in nb:
+                    raise ModelError(f"host {leaf!r} is not a node")
                 if len(nb[leaf]) > 1:
                     raise ModelError(f"host {leaf!r} is not a leaf")
                 lf[leaf] = child
@@ -109,11 +113,6 @@ def _log2_big(total: int) -> float:
     return math.log2(total >> shift) + shift
 
 
-def _widths(clusters: dict[str, frozenset[str]]) -> tuple[int, float]:
-    sizes = [len(c) for c in clusters.values()]
-    return max(sizes) - 1, _log2_big(sum(1 << s for s in sizes))
-
-
 def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
     lf = jt.leaf_family()
     nb = jt.neighbors()
@@ -126,8 +125,8 @@ def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
             for u in nb[v]:
                 c |= separators[edge_key(v, u)]
             clusters[v] = c
-    width, normalized = _widths(clusters)
-    return SeparatorAssignment(dict(separators), clusters, width, normalized)
+    sizes = [len(c) for c in clusters.values()]
+    return SeparatorAssignment(dict(separators), clusters, max(sizes) - 1, _log2_big(sum(1 << s for s in sizes)))
 
 
 def classical_separators(jt: Jointree) -> SeparatorAssignment:

@@ -1,21 +1,28 @@
 """Family replication, the two separator-thinning rules applied to
-fixpoint, and lifting thinned base separators to thinned twin separators.
+fixpoint, the Thm-3 twin lift, and `Structures`, which chains them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import count
 
+from .elimination import EliminationOrder
 from .jointree import (
     Jointree,
     SeparatorAssignment,
     _assemble,
     classical_separators,
     edge_key,
+    jointree_from_order,
     lift_separators,
+    make_twin_jointree,
+    twin_separators_direct,
 )
 from .model import Dag, ModelError
+
+CHAIN_BOUND = 10  # replication depth of the engines; the default of `ctwin bench`, `audit` and `thin`
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,41 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
 
 def thinned_twin_separators(base: ThinnedJointree, twin_jt: Jointree) -> ThinnedJointree:
     """Thm-3 lifting: thinned base separators carry over to the twin
-    jointree by the duplicated/duplicate/invariant edge rules."""
+    jointree by the duplicated/duplicate/invariant edge rules. The log is
+    the base removal log, on base edges."""
     lifted = lift_separators(base.thinned.separators, twin_jt)
-    return ThinnedJointree(twin_jt, _assemble(twin_jt, lifted), ())
+    return ThinnedJointree(twin_jt, _assemble(twin_jt, lifted), base.log)
+
+
+class Structures:
+    """What an elimination order of a DAG gives, each part built when
+    first read: the jointree with classical separators, its Alg-1 twin
+    jointree with Thm-2 separators, and the replicated jointree thinned
+    to fixpoint with its Thm-3 twin lift."""
+
+    def __init__(self, dag: Dag, order: EliminationOrder, chain_bound: int = CHAIN_BOUND):
+        self.dag, self.order, self.chain_bound = dag, order, chain_bound
+
+    @cached_property
+    def jointree(self) -> Jointree:
+        return jointree_from_order(self.dag, self.order)
+
+    @cached_property
+    def separators(self) -> SeparatorAssignment:
+        return classical_separators(self.jointree)
+
+    @cached_property
+    def twin_jointree(self) -> Jointree:
+        return make_twin_jointree(self.jointree, self.dag)
+
+    @cached_property
+    def twin_separators(self) -> SeparatorAssignment:
+        return twin_separators_direct(self.separators, self.twin_jointree)
+
+    @cached_property
+    def thinned(self) -> ThinnedJointree:
+        return thin(replicate(self.jointree, self.dag, self.chain_bound), self.dag.internals())
+
+    @cached_property
+    def thinned_twin(self) -> ThinnedJointree:
+        return thinned_twin_separators(self.thinned, make_twin_jointree(self.thinned.jointree, self.dag))

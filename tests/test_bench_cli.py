@@ -336,13 +336,14 @@ def test_cli_infer_malformed_query_exit_one(tmp_path, capsys, query, message):
 
 
 def test_cli_invariant_error_exit_two(tmp_path, capsys, monkeypatch):
-    import ctwin.cli
+    import ctwin.thinning
     from ctwin import InvariantError
 
     def broken(jt):
         raise InvariantError("separator check failed")
 
-    monkeypatch.setattr(ctwin.cli, "classical_separators", broken)
+    # the CLI reads separators from a Structures, which owns the call
+    monkeypatch.setattr(ctwin.thinning, "classical_separators", broken)
     path = tmp_path / "net.json"
     save_network(half_adder(), path)
     rc = main(["jointree", "--net", str(path)])

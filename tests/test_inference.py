@@ -398,27 +398,44 @@ def test_failed_query_leaves_later_answers_unchanged(adder):
 
 def test_second_query_reuses_the_compiled_layout(monkeypatch):
     import ctwin.inference as inf
+    import ctwin.thinning as thinning
 
-    calls = {"minfill_order": 0, "jointree_from_order": 0, "make_twin_jointree": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(inf, name)):
+    # minfill runs in the layout; the jointree chain runs in its Structures
+    owners = {"minfill_order": inf, "jointree_from_order": thinning, "make_twin_jointree": thinning,
+              "replicate": thinning, "thin": thinning}
+    calls = dict.fromkeys(owners, 0)
+    for name, module in owners.items():
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(inf, name, counted)
+        monkeypatch.setattr(module, name, counted)
     scm = random_scm(5, n=8, param=2)
     q = _twin_query(scm)
 
+    def expect(minfill, jointree, twin, thinned):
+        return {"minfill_order": minfill, "jointree_from_order": jointree, "make_twin_jointree": twin,
+                "replicate": thinned, "thin": thinned}
+
     counterfactual(scm, q, "oracle")
-    assert calls == {"minfill_order": 0, "jointree_from_order": 0, "make_twin_jointree": 0}
+    assert calls == expect(0, 0, 0, 0)
     counterfactual(scm, q, "ve")
-    assert calls == {"minfill_order": 1, "jointree_from_order": 0, "make_twin_jointree": 0}
+    assert calls == expect(1, 0, 0, 0)
     counterfactual(scm, q, "jointree")
-    assert calls == {"minfill_order": 1, "jointree_from_order": 1, "make_twin_jointree": 1}
+    assert calls == expect(1, 1, 1, 0)
     other = CounterfactualQuery(2, q.shared_roots, q.observations,
                                 (Evidence({}), Evidence({scm.dag.internals()[1]: 1})), q.target)
     counterfactual(scm, other, "jointree")
     counterfactual(scm, other, "ve")
-    assert calls == {"minfill_order": 1, "jointree_from_order": 1, "make_twin_jointree": 1}
+    assert calls == expect(1, 1, 1, 0)
+    # the thinned engine replicates and thins the layout's base jointree once
+    counterfactual(scm, q, "jointree-thinned")
+    assert calls == expect(1, 1, 2, 1)
+    counterfactual(scm, other, "jointree-thinned")
+    assert calls == expect(1, 1, 2, 1)
+    # the schedules hold what they need; of the parts only the base jointree stays
+    parts = vars(scm._compiled[(2, q.shared_roots)].structures)
+    assert "jointree" in parts and parts.keys().isdisjoint(
+        {"separators", "twin_jointree", "twin_separators", "thinned", "thinned_twin"})
 
     fresh = random_scm(5, n=8, param=2)
     counterfactual(fresh, q, "ve")
@@ -801,7 +818,7 @@ def test_repeated_twin_query_recomputes_only_touched_nodes(monkeypatch):
     for engine in ("jointree", "jointree-thinned"):
         first, second = count(engine), count(engine)
         layout = scm._compiled[(2, q.shared_roots)]
-        sched = layout.twin_schedule if engine == "jointree" else layout.thinned_twin_schedule
+        sched = layout.schedules[engine]
         parents = layout.net.dag.parents
         touched = {leaf for child, leaves in sched.hosts.items() for leaf in leaves
                    if child in cut or not inputs.isdisjoint((child,) + parents[child])}

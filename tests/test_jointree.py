@@ -44,6 +44,8 @@ PATH = (("a", "b"), ("b", "c"))  # a - b - c
                      id="unhosted-leaf"),
         pytest.param("abc", PATH, {"x": "a", "y": "c"}, "xyz", "'z' has no host", id="family-without-host"),
         pytest.param("abc", PATH, {"x": "a", "y": "ca"}, "xy", "'a' hosts two families", id="leaf-hosts-two"),
+        pytest.param("ab", (("a", "z"),), {"x": "a", "y": "b"}, "xy", "'z' is not a node", id="edge-off-tree"),
+        pytest.param("ab", PATH[:1], {"x": "a", "y": "q"}, "xy", "'q' is not a node", id="host-off-tree"),
     ],
 )
 def test_construction_rejects_invalid_tree(nodes, edges, hosts, families, problem):

@@ -23,7 +23,7 @@ from ctwin.jointree import edge_key
 from ctwin.randgen import GENERATORS
 from ctwin.worlds import twin_dag
 
-from conftest import random_scm
+from conftest import half_adder, random_scm
 
 
 def gate_dag():
@@ -153,6 +153,15 @@ def test_twin_lift_of_thinned_separators():
                     for v in thinned.thinned.separators[base_e]
                 }
                 assert s == frozenset(expect)
+
+
+def test_twin_lift_carries_the_base_removal_log():
+    scm = half_adder()
+    jt = jointree_from_order(scm.dag, minfill_order(moral_graph(scm.dag)))
+    thinned = thin(replicate(jt, scm.dag, 10), scm.dag.internals())
+    assert thinned.log  # the replicated half adder has removals to carry
+    lifted = thinned_twin_separators(thinned, make_twin_jointree(thinned.jointree, scm.dag))
+    assert lifted.log == thinned.log
 
 
 def test_width_report_exposes_replication_blowup():
