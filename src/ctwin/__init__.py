@@ -46,7 +46,7 @@ from .model import (
     scm_factors,
 )
 from .randgen import Rng, gen_rnet, gen_rnet2, gen_rscm, gen_rscm2, parameterize, to_rscm
-from .thinning import ThinnedJointree, replicate, thin, thinned_twin_separators
+from .thinning import replicate, thin, thinned_twin_separators
 from .worlds import (
     MoralGraph,
     WorldMap,

@@ -59,7 +59,7 @@ def instance_widths(dag: Dag, chain_bound: int) -> dict[str, tuple[int, float]]:
     tdag = twin_dag(dag)
     twin = Structures(tdag, minfill_order(moral_graph(tdag)), chain_bound)
     parts = (base.separators, base.twin_separators, twin.separators,
-             base.thinned.thinned, base.thinned_twin.thinned, twin.thinned.thinned)
+             base.thinned, base.thinned_twin, twin.thinned)
     return {m: (s.width, s.normalized_width) for m, s in zip(METHODS, parts)}
 
 
@@ -162,8 +162,8 @@ def audit_instance(dag: Dag, chain_bound: int, rng: Rng) -> list[dict]:
     s = Structures(dag, order, chain_bound)
     for bound, observed, limit in (
             ("cor3: twin jointree width <= 2w+1", s.twin_separators.width, 2 * s.separators.width + 1),
-            ("cor3: twin jointree nodes <= 2n", len(s.twin_jointree.nodes), 2 * len(s.jointree.nodes)),
-            ("cor4: thinned twin width <= 2w+1", s.thinned_twin.thinned.width, 2 * s.thinned.thinned.width + 1)):
+            ("cor3: twin jointree nodes <= 2n", len(s.twin_separators.jointree.nodes), 2 * len(s.jointree.nodes)),
+            ("cor4: thinned twin width <= 2w+1", s.thinned_twin.width, 2 * s.thinned.width + 1)):
         if observed > limit:
             flag(bound, observed, limit)
 

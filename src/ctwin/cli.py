@@ -40,7 +40,8 @@ def _evidence(spec: str) -> Evidence:
     return Evidence(out)
 
 
-def _separators_doc(jt, seps):
+def _separators_doc(seps):
+    jt = seps.jointree
     return {
         "nodes": list(jt.nodes),
         "edges": [list(e) for e in jt.edges],
@@ -101,19 +102,19 @@ def cmd_order(a):
 
 def cmd_jointree(a):
     s = _structures(a)
-    _emit(_separators_doc(s.jointree, s.separators), a.out)
+    _emit(_separators_doc(s.separators), a.out)
 
 
 def cmd_twin_jointree(a):
     s = _structures(a)
-    doc = _separators_doc(s.twin_jointree, s.twin_separators)
-    doc["edge_class"] = {f"{x}|{y}": c for (x, y), c in sorted(s.twin_jointree.edge_class.items())}
+    doc = _separators_doc(s.twin_separators)
+    doc["edge_class"] = {f"{x}|{y}": c for (x, y), c in sorted(s.twin_separators.jointree.edge_class.items())}
     _emit(doc, a.out)
 
 
 def cmd_thin(a):
     s = _structures(a, a.chain_bound)
-    doc = _separators_doc(s.thinned.jointree, s.thinned.thinned)
+    doc = _separators_doc(s.thinned)
     doc["thinned_separators"] = doc.pop("separators")
     doc["thinning_log"] = [
         {"edge": list(r["edge"]), "variable": r["variable"], "rule": r["rule"],
@@ -121,7 +122,7 @@ def cmd_thin(a):
         for r in s.thinned.log
     ]
     if a.twin:
-        doc["twin"] = _separators_doc(s.thinned_twin.jointree, s.thinned_twin.thinned)
+        doc["twin"] = _separators_doc(s.thinned_twin)
     _emit(doc, a.out)
 
 

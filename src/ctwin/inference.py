@@ -13,9 +13,9 @@ from math import prod
 import numpy as np
 
 from .elimination import EliminationOrder, _family_adjacency, _replay, minfill_order, n_world_order, twin_order
-from .jointree import Jointree, classical_separators, edge_key
+from .jointree import Jointree, SeparatorAssignment, classical_separators, edge_key
 from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
-from .thinning import Structures, ThinnedJointree
+from .thinning import Structures
 from .worlds import _point_masses, moral_graph, mutilate, n_world_network, twin_network
 
 
@@ -221,33 +221,24 @@ class _Schedule:
     messages: dict[str, tuple[Factor | None, Factor]] = field(default_factory=dict, compare=False, repr=False)
 
 
-def _schedule(jt: Jointree, separators: dict[tuple[str, str], frozenset[str]], method: str) -> _Schedule:
-    nb = jt.neighbors()
+def _schedule(seps: SeparatorAssignment, method: str) -> _Schedule:
+    jt = seps.jointree
     order, parent = jt.rooting
-    sink = order[0]
-    steps = tuple((v, parent[v], tuple(u for u in nb[v] if u != parent[v]),
-                   separators[edge_key(v, parent[v])]) for v in reversed(order[1:]))
-    return _Schedule(jt.hosts, steps + ((sink, None, tuple(nb[sink]), frozenset()),), method)
+    steps = tuple((v, parent[v], tuple(jt.children[v]), seps.separators[edge_key(v, parent[v])])
+                  for v in reversed(order[1:]))
+    return _Schedule(jt.hosts, steps + ((order[0], None, tuple(jt.children[order[0]]), frozenset()),), method)
 
 
 def jointree_propagate(
-    jt_or_thinned,
+    jt: Jointree,
     scm: Scm,
     evidence: Evidence,
     target: Evidence,
     mode: str = "conditional",
 ) -> InferenceResult:
-    """Message passing over (possibly thinned) separators. Targets are
-    asserted as additional evidence so any leaf can produce the joint."""
-    if isinstance(jt_or_thinned, ThinnedJointree):
-        jt = jt_or_thinned.jointree
-        seps = jt_or_thinned.thinned
-        method = "jointree-thinned"
-    else:
-        jt = jt_or_thinned
-        seps = classical_separators(jt)
-        method = "jointree"
-    return _propagate(_schedule(jt, seps.separators, method), scm, scm_factors(scm),
+    """Message passing over classical separators. Targets are asserted as
+    additional evidence so any leaf can produce the joint."""
+    return _propagate(_schedule(classical_separators(jt), "jointree"), scm, scm_factors(scm),
                       evidence, target, mode)
 
 
@@ -377,12 +368,9 @@ class _Layout:
         Of the parts it is built from, only the base jointree is kept."""
         s = self.structures
         if engine not in self.schedules:
-            if engine == "jointree":
-                jt, seps = s.twin_jointree, s.twin_separators
-            else:
-                jt, seps = s.thinned_twin.jointree, s.thinned_twin.thinned
-            self.schedules[engine] = _schedule(jt, seps.separators, engine)
-            for part in ("separators", "twin_jointree", "twin_separators", "thinned", "thinned_twin"):
+            seps = s.twin_separators if engine == "jointree" else s.thinned_twin
+            self.schedules[engine] = _schedule(seps, engine)
+            for part in ("separators", "twin_separators", "thinned", "thinned_twin"):
                 vars(s).pop(part, None)
         return self.schedules[engine]
 
@@ -450,11 +438,7 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
         sched = layout.schedule(engine)
     else:
         s = Structures(mutilate(layout.net, do).dag, layout.order)
-        if engine == "jointree":
-            jt, seps = s.jointree, s.separators
-        else:
-            jt, seps = s.thinned.jointree, s.thinned.thinned
-        sched = _schedule(jt, seps.separators, engine)
+        sched = _schedule(s.separators if engine == "jointree" else s.thinned, engine)
     return _propagate(sched, layout.net, factors, obs, tgt, q.mode, masses)
 
 

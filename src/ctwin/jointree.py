@@ -6,7 +6,7 @@ conversion, and the direct twin separator lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .elimination import EliminationOrder, _family_adjacency, _replay
 from .model import Dag, InvariantError, ModelError
@@ -23,9 +23,11 @@ class Jointree:
     one family; a family may be hosted at several leaves (replicas).
 
     Construction raises ModelError on any violated invariant, and derives
-    once the neighbour lists, the leaf -> family map and `rooting`, the
-    breadth-first order and parents from nodes[0]. Callers must not change
-    them; `dataclasses.replace` derives them afresh.
+    once the neighbour lists, the leaf -> family map, `rooting`, the
+    breadth-first order and parents from nodes[0], and `children`, each
+    node's children in neighbour order. Every pass that walks the tree
+    reads these. Callers must not change them; `dataclasses.replace`
+    derives them afresh.
 
     For twin jointrees produced by `make_twin_jointree`, `edge_class`
     labels every edge duplicated / duplicate / invariant,
@@ -45,6 +47,7 @@ class Jointree:
     _neighbors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     _leaf_family: dict[str, str] = field(init=False, repr=False, compare=False)
     rooting: tuple[list[str], dict[str, str | None]] = field(init=False, repr=False, compare=False)
+    children: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.edges) != len(self.nodes) - 1:
@@ -55,7 +58,16 @@ class Jointree:
                 raise ModelError(f"edge end {a if b in nb else b!r} is not a node")
             nb[a].append(b)
             nb[b].append(a)
-        order, parent = rooted(nb, self.nodes[0])
+        root = self.nodes[0]
+        parent: dict[str, str | None] = {root: None}
+        order = [root]
+        children: dict[str, list[str]] = {v: [] for v in self.nodes}
+        for v in order:
+            for u in nb[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+                    children[v].append(u)
         if len(order) != len(self.nodes):
             raise ModelError("tree is not connected")
         lf: dict[str, str] = {}
@@ -77,6 +89,7 @@ class Jointree:
         object.__setattr__(self, "_neighbors", nb)
         object.__setattr__(self, "_leaf_family", lf)
         object.__setattr__(self, "rooting", (order, parent))
+        object.__setattr__(self, "children", children)
 
     def neighbors(self) -> dict[str, list[str]]:
         return self._neighbors
@@ -86,26 +99,17 @@ class Jointree:
         return self._leaf_family
 
 
-def rooted(nb, root: str) -> tuple[list[str], dict[str, str | None]]:
-    """Breadth-first traversal of the graph `nb` (node -> neighbours, taken
-    in the given order) from root: the nodes reached, in visit order, and
-    each one's parent in the traversal tree (None at root)."""
-    parent: dict[str, str | None] = {root: None}
-    order = [root]
-    for v in order:
-        for u in nb[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    return order, parent
-
-
 @dataclass(frozen=True)
 class SeparatorAssignment:
+    """A jointree with a separator on every edge, the clusters and widths
+    they give, and, for thinned separators, the removal audit."""
+
+    jointree: Jointree
     separators: dict[tuple[str, str], frozenset[str]]
     clusters: dict[str, frozenset[str]]
     width: int
     normalized_width: float
+    log: tuple[dict, ...] = ()  # thinning removals: {edge, variable, rule, witness}
 
 
 def _log2_big(total: int) -> float:
@@ -113,7 +117,7 @@ def _log2_big(total: int) -> float:
     return math.log2(total >> shift) + shift
 
 
-def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
+def _assemble(jt: Jointree, separators, log=()) -> SeparatorAssignment:
     lf = jt.leaf_family()
     nb = jt.neighbors()
     clusters = {}
@@ -126,24 +130,24 @@ def _assemble(jt: Jointree, separators) -> SeparatorAssignment:
                 c |= separators[edge_key(v, u)]
             clusters[v] = c
     sizes = [len(c) for c in clusters.values()]
-    return SeparatorAssignment(dict(separators), clusters, max(sizes) - 1, _log2_big(sum(1 << s for s in sizes)))
+    return SeparatorAssignment(jt, dict(separators), clusters, max(sizes) - 1,
+                               _log2_big(sum(1 << s for s in sizes)), log)
 
 
 def classical_separators(jt: Jointree) -> SeparatorAssignment:
     """S_ij = variables hosted on both sides of edge (i, j)."""
-    nb = jt.neighbors()
     hosted = {leaf: jt.families[child] for leaf, child in jt.leaf_family().items()}
     order, parent = jt.rooting
+    children = jt.children
     below: dict[str, frozenset[str]] = {}
     for v in reversed(order):
         s = hosted.get(v, frozenset())
-        for u in nb[v]:
-            if parent.get(u) == v:
-                s |= below[u]
+        for u in children[v]:
+            s |= below[u]
         below[v] = s
     above: dict[str, frozenset[str]] = {order[0]: frozenset()}
     for v in order:
-        kids = [u for u in nb[v] if parent.get(u) == v]
+        kids = children[v]
         base = above[v] | hosted.get(v, frozenset())
         for u in kids:
             s = base
@@ -222,34 +226,16 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     var_dup = {v: (v if v in roots else twin_name(v)) for v in base.nodes}
 
     lf = jt.leaf_family()
-    if all(child in roots for child in lf.values()):
-        return replace(
-            jt,
-            edge_class={e: "invariant" for e in jt.edges},
-            duplicate_base={},
-            var_dup=var_dup,
-        )
-
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
-    nb = jt.neighbors()
-
-    if len(nodes) == 2:
-        # no internal tree node to serve as the initial root
-        aux = "aux0"
-        a, b = edges[0]
-        edges = [edge_key(a, aux), edge_key(aux, b)]
-        nodes.append(aux)
-        nb = {a: {aux}, b: {aux}, aux: {a, b}}
-
-    root = next(v for v in nodes if len(nb[v]) > 1)
-    snb = {v: sorted(us) for v, us in nb.items()}
-    order, parent = rooted(snb, root)
-    children = {v: [u for u in snb[v] if parent.get(u) == v] for v in nodes}
-    kinds: dict[str, set[bool]] = {}  # v -> {whether a host leaf below v hosts a root}
+    order, _ = jt.rooting
+    children = jt.children
+    kinds: dict[str, set[bool]] = {}  # v -> {whether a host leaf at or below v hosts a root}
     for v in reversed(order):
-        kinds[v] = set().union(*(kinds[k] for k in children[v])) if children[v] else {lf[v] in roots}
+        kinds[v] = {lf[v] in roots} if v in lf else set()
+        for k in children[v]:
+            kinds[v] |= kinds[k]
 
     edge_class: dict[tuple[str, str], str] = {}
     duplicate_base: dict[tuple[str, str], tuple[str, str]] = {}
@@ -287,7 +273,7 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
         for k in children[r]:
             visit(k, r)
 
-    visit(root, None)
+    visit(order[0], None)
     for e in edges:
         edge_class.setdefault(e, "invariant")
 
@@ -326,5 +312,7 @@ def lift_separators(base_separators, twin_jt: Jointree) -> dict:
 
 
 def twin_separators_direct(base_seps: SeparatorAssignment, twin_jt: Jointree) -> SeparatorAssignment:
-    """Thm-2 style twin separators computed from the base separators."""
-    return _assemble(twin_jt, lift_separators(base_seps.separators, twin_jt))
+    """Twin separators lifted from the base separators: Thm 2 for
+    classical ones, Thm 3 for thinned ones. The log is the base removal
+    log, on base edges."""
+    return _assemble(twin_jt, lift_separators(base_seps.separators, twin_jt), base_seps.log)

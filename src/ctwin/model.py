@@ -94,7 +94,6 @@ def _topological_order(nodes, parents: dict[str, tuple[str, ...]]) -> list[str] 
 class Variable:
     id: str
     cardinality: int
-    kind: str  # "exogenous-root" | "endogenous-internal"
     functional: bool
 
 
@@ -265,7 +264,6 @@ def network_from_dict(doc) -> Scm:
                 raise ModelError(f"{vid}: dist sums to {sum(table)}, not 1")
             root_tables[vid] = table
             functional = entry.get("functional", False)
-            kind = "exogenous-root"
         else:
             if "cpt" not in entry:
                 raise ModelError(f"{vid}: internal variable needs 'cpt'")
@@ -285,8 +283,7 @@ def network_from_dict(doc) -> Scm:
             functional = entry.get("functional", True)
             if not functional:
                 raise ModelError(f"{vid}: internal SCM variable must be functional")
-            kind = "endogenous-internal"
-        variables[vid] = Variable(vid, cards[vid], kind, functional)
+        variables[vid] = Variable(vid, cards[vid], functional)
     return Scm(dag, variables, root_tables, internal_cpts, state_names)
 
 

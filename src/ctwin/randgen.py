@@ -161,13 +161,13 @@ def parameterize(dag: Dag, rng: Rng, cardinality: int = 2) -> Scm:
             raw = [rng.uniform() + 1e-6 for _ in range(cardinality)]
             z = sum(raw)
             tables[v] = tuple(x / z for x in raw)
-            variables[v] = Variable(v, cardinality, "exogenous-root", False)
+            variables[v] = Variable(v, cardinality, False)
         else:
             rows = 1
             for p in ps:
                 rows *= cardinality
             cpts[v] = tuple(rng.below(cardinality) for _ in range(rows))
-            variables[v] = Variable(v, cardinality, "endogenous-internal", True)
+            variables[v] = Variable(v, cardinality, True)
     return Scm(dag, variables, tables, cpts)
 
 

@@ -4,7 +4,7 @@ fixpoint, the Thm-3 twin lift, and `Structures`, which chains them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 from itertools import count
 
@@ -16,20 +16,12 @@ from .jointree import (
     classical_separators,
     edge_key,
     jointree_from_order,
-    lift_separators,
     make_twin_jointree,
     twin_separators_direct,
 )
-from .model import Dag, ModelError
+from .model import Dag, InvariantError, ModelError
 
 CHAIN_BOUND = 10  # replication depth of the engines; the default of `ctwin bench`, `audit` and `thin`
-
-
-@dataclass(frozen=True)
-class ThinnedJointree:
-    jointree: Jointree
-    thinned: SeparatorAssignment
-    log: tuple[dict, ...]  # removal audit: {edge, variable, rule, witness}
 
 
 def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Jointree:
@@ -49,26 +41,6 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
     host_depth = {leaf: 0 for leaf in leaf_of}
     counter = 0
 
-    def attach_point(h: str) -> str | None:
-        """Internal node next to host leaf h, inserting an auxiliary node
-        when h's only neighbor is itself a host leaf."""
-        nonlocal counter
-        if not nb[h]:
-            return None
-        (u,) = nb[h]
-        if u in leaf_of:
-            aux = f"rx{counter}"
-            counter += 1
-            nodes.append(aux)
-            edges.remove(edge_key(h, u))
-            edges.append(edge_key(h, aux))
-            edges.append(edge_key(aux, u))
-            nb[h] = {aux}
-            nb[u] = (nb[u] - {h}) | {aux}
-            nb[aux] = {h, u}
-            return aux
-        return u
-
     for x in reversed(topo):
         if x not in functional:
             continue
@@ -80,9 +52,7 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
                 continue
             h = min(eligible, key=lambda l: (-host_depth[l], l))
             depth = host_depth[h] + 1
-            u = attach_point(h)
-            if u is None:
-                continue
+            (u,) = nb[h]  # the internal node next to h
             if any(w in leaf_of and leaf_of[w] == x for w in nb[u]):
                 continue  # a host of f_x already sits here
             leaf = f"r{counter}_{x}"
@@ -103,7 +73,7 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
     )
 
 
-def thin(jt: Jointree, functional) -> ThinnedJointree:
+def thin(jt: Jointree, functional) -> SeparatorAssignment:
     """Apply the two thinning rules to exhaustion, sweeping edges in
     canonical order, rule 1 before rule 2, until a pass removes nothing.
 
@@ -133,22 +103,22 @@ def thin(jt: Jointree, functional) -> ThinnedJointree:
     for _, e, x, rule, witness in sorted(removals, key=lambda r: r[:3]):
         sep[e].discard(x)
         log.append({"edge": e, "variable": x, "rule": rule, "witness": witness})
-    assignment = _assemble(jt, {e: frozenset(s) for e, s in sep.items()})
-    return ThinnedJointree(jt, assignment, tuple(log))
+    return _assemble(jt, {e: frozenset(s) for e, s in sep.items()}, tuple(log))
 
 
 def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]:
     """Removals (pass, edge, x, rule, witness) of x from its sorted edges.
 
-    The x-edges form a forest. Each component is rooted, and every node
-    carries the hosts and mentions in its subtree, so removing (parent,
-    child) splits off the child's subtree with known counts: rule 1
-    needs a host on both sides, rule 2 an endpoint of x-degree 1, and the
-    guard no side that has mentions but no host. A committed removal
-    makes the child's subtree a new component, rooted at the child, and
-    takes its counts off the parent, its ancestors and their component;
-    the rules, guard and witnesses read only each side's counts and
-    smallest host, never the rooting."""
+    The classical x-edges form one tree that spans every leaf mentioning
+    x, a host of f_x among them; removals split it into a forest. Each
+    component is rooted, and every node carries the hosts and mentions in
+    its subtree, so removing (parent, child) splits off the child's
+    subtree with known counts: rule 1 needs a host on both sides, rule 2
+    an endpoint of x-degree 1, and the guard no side that has mentions but
+    no host. A committed removal makes the child's subtree a new
+    component, rooted at the child, and takes its counts off the parent,
+    its ancestors and their component; the rules, guard and witnesses
+    read only each side's counts and smallest host, never the rooting."""
     adj: dict[str, set[str]] = {v: set() for v in mention}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
@@ -184,7 +154,7 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
         if v not in comp:
             h, m, _ = label(v, True)
             if m and not h:
-                return []  # an unanchored region only splits further
+                raise InvariantError(f"an {x}-region has no host of f_{x}")
     out = []
     for k in count():
         keep = []
@@ -218,12 +188,11 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
         edges = keep
 
 
-def thinned_twin_separators(base: ThinnedJointree, twin_jt: Jointree) -> ThinnedJointree:
+def thinned_twin_separators(base: SeparatorAssignment, twin_jt: Jointree) -> SeparatorAssignment:
     """Thm-3 lifting: thinned base separators carry over to the twin
-    jointree by the duplicated/duplicate/invariant edge rules. The log is
-    the base removal log, on base edges."""
-    lifted = lift_separators(base.thinned.separators, twin_jt)
-    return ThinnedJointree(twin_jt, _assemble(twin_jt, lifted), base.log)
+    jointree by the duplicated/duplicate/invariant edge rules, and so
+    does the log."""
+    return twin_separators_direct(base, twin_jt)
 
 
 class Structures:
@@ -244,17 +213,13 @@ class Structures:
         return classical_separators(self.jointree)
 
     @cached_property
-    def twin_jointree(self) -> Jointree:
-        return make_twin_jointree(self.jointree, self.dag)
-
-    @cached_property
     def twin_separators(self) -> SeparatorAssignment:
-        return twin_separators_direct(self.separators, self.twin_jointree)
+        return twin_separators_direct(self.separators, make_twin_jointree(self.jointree, self.dag))
 
     @cached_property
-    def thinned(self) -> ThinnedJointree:
+    def thinned(self) -> SeparatorAssignment:
         return thin(replicate(self.jointree, self.dag, self.chain_bound), self.dag.internals())
 
     @cached_property
-    def thinned_twin(self) -> ThinnedJointree:
+    def thinned_twin(self) -> SeparatorAssignment:
         return thinned_twin_separators(self.thinned, make_twin_jointree(self.thinned.jointree, self.dag))

@@ -122,7 +122,7 @@ def _world_network(scm: Scm, nodes, parents, n_worlds: int, shared: frozenset[st
     dup = {}
     for v, j, nid in nodes:
         var = scm.variables[v]
-        variables[nid] = var if nid == v else Variable(nid, var.cardinality, var.kind, var.functional)
+        variables[nid] = var if nid == v else Variable(nid, var.cardinality, var.functional)
         if v in scm.root_tables:
             tables[nid] = scm.root_tables[v]
         else:
@@ -196,5 +196,5 @@ def mutilate(scm: Scm, interventions: Evidence) -> Scm:
         parents[v] = ()
         tables[v] = point
         cpts.pop(v, None)
-        variables[v] = Variable(v, len(point), "exogenous-root", False)
+        variables[v] = Variable(v, len(point), False)
     return Scm(Dag(dag.nodes, parents), variables, tables, cpts, dict(scm.state_names))

@@ -15,15 +15,7 @@ def half_adder() -> Scm:
         ["U", "X", "Y", "A", "B", "S", "C"],
         {"A": ("U",), "B": ("U",), "S": ("A", "B", "X"), "C": ("A", "B", "Y")},
     )
-    variables = {
-        v: Variable(
-            v,
-            4 if v == "U" else 2,
-            "exogenous-root" if v in ("U", "X", "Y") else "endogenous-internal",
-            v not in ("U", "X", "Y"),
-        )
-        for v in dag.nodes
-    }
+    variables = {v: Variable(v, 4 if v == "U" else 2, v not in ("U", "X", "Y")) for v in dag.nodes}
     tables = {"U": (0.25, 0.25, 0.25, 0.25), "X": (0.1, 0.9), "Y": (0.1, 0.9)}
     cpts = {
         "A": tuple(u // 2 for u in range(4)),

@@ -435,7 +435,7 @@ def test_second_query_reuses_the_compiled_layout(monkeypatch):
     # the schedules hold what they need; of the parts only the base jointree stays
     parts = vars(scm._compiled[(2, q.shared_roots)].structures)
     assert "jointree" in parts and parts.keys().isdisjoint(
-        {"separators", "twin_jointree", "twin_separators", "thinned", "thinned_twin"})
+        {"separators", "twin_separators", "thinned", "thinned_twin"})
 
     fresh = random_scm(5, n=8, param=2)
     counterfactual(fresh, q, "ve")

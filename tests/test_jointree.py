@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctwin import (
     ModelError,
@@ -7,16 +11,24 @@ from ctwin import (
     make_twin_jointree,
     minfill_order,
     moral_graph,
+    replicate,
     twin_network,
     twin_separators_direct,
 )
+from ctwin.bench import generate_dag
 from ctwin.jointree import Jointree, edge_key
+from ctwin.randgen import GENERATORS
+from ctwin.worlds import _twin_structure, twin_name
 
 from conftest import random_scm
 
 
+def base_jointree_of(dag):
+    return jointree_from_order(dag, minfill_order(moral_graph(dag)))
+
+
 def base_jointree(scm):
-    return jointree_from_order(scm.dag, minfill_order(moral_graph(scm.dag)))
+    return base_jointree_of(scm.dag)
 
 
 def test_jointree_invariants(adder):
@@ -143,7 +155,7 @@ def test_twin_of_all_root_network():
 
     dag = Dag.of(["a", "b"], {})
     variables = {
-        v: Variable(v, 2, "exogenous-root", False) for v in dag.nodes
+        v: Variable(v, 2, False) for v in dag.nodes
     }
     scm = Scm(dag, variables, {"a": (0.5, 0.5), "b": (0.5, 0.5)}, {})
     jt = base_jointree(scm)
@@ -156,3 +168,86 @@ def test_lift_requires_edge_classes(adder):
     jt = base_jointree(adder)
     with pytest.raises(ModelError):
         twin_separators_direct(classical_separators(jt), jt)
+
+
+# ------------------------------------------------ Alg 1: one rooting
+
+
+def reference_twin_jointree(jt, base):
+    """make_twin_jointree rooting the tree on its own: at the first node
+    of degree above one, breadth first over sorted neighbours, with an
+    auxiliary root inserted into a 2-node tree."""
+    roots = set(base.roots())
+    families = {v: frozenset((v,) + ps) for v, ps in _twin_structure(base)[1].items()}
+    var_dup = {v: (v if v in roots else twin_name(v)) for v in base.nodes}
+    lf = jt.leaf_family()
+    if all(child in roots for child in lf.values()):
+        return replace(jt, edge_class={e: "invariant" for e in jt.edges}, duplicate_base={}, var_dup=var_dup)
+    nodes = list(jt.nodes)
+    edges = [edge_key(*e) for e in jt.edges]
+    hosts = {c: list(hs) for c, hs in jt.hosts.items()}
+    nb = jt.neighbors()
+    if len(nodes) == 2:
+        aux = "aux0"
+        a, b = edges[0]
+        edges = [edge_key(a, aux), edge_key(aux, b)]
+        nodes.append(aux)
+        nb = {a: {aux}, b: {aux}, aux: {a, b}}
+    root = next(v for v in nodes if len(nb[v]) > 1)
+    snb = {v: sorted(us) for v, us in nb.items()}
+    parent, order = {root: None}, [root]
+    for v in order:
+        for u in snb[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    children = {v: [u for u in snb[v] if parent.get(u) == v] for v in nodes}
+    kinds = {}
+    for v in reversed(order):
+        kinds[v] = set().union(*(kinds[k] for k in children[v])) if children[v] else {lf[v] in roots}
+    edge_class, duplicate_base = {}, {}
+
+    def duplicate_subtree(r, p):
+        sub, stack = [r], [r]
+        while stack:
+            v = stack.pop()
+            for k in children[v]:
+                sub.append(k)
+                stack.append(k)
+        dup = {v: v + "'" for v in sub}
+        nodes.extend(dup[v] for v in sub)
+        for a, b in [(v, k) for v in sub for k in children[v]] + [(p, r)]:
+            e, de = edge_key(a, b), edge_key(dup.get(a, a), dup.get(b, b))
+            edges.append(de)
+            edge_class[e], edge_class[de], duplicate_base[de] = "duplicated", "duplicate", e
+        for v in sub:
+            if v in lf:
+                hosts.setdefault(twin_name(lf[v]), []).append(dup[v])
+
+    def visit(r, p):
+        if kinds[r] == {True}:
+            return
+        if kinds[r] == {False}:
+            duplicate_subtree(r, p)
+            return
+        for k in children[r]:
+            visit(k, r)
+
+    visit(root, None)
+    for e in edges:
+        edge_class.setdefault(e, "invariant")
+    return Jointree(tuple(nodes), tuple(edges), {c: tuple(hs) for c, hs in hosts.items()}, families,
+                    edge_class=edge_class, duplicate_base=duplicate_base, var_dup=var_dup)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(2, 30), st.integers(1, 5),
+       st.integers(0, 2**32), st.booleans(), st.sampled_from((0, 1, 10)))
+def test_twin_jointree_matches_the_self_rooting_reference(gen, n, param, seed, replicated, bound):
+    dag = generate_dag(gen, n, param, seed)
+    jt = base_jointree_of(dag)
+    if replicated:
+        jt = replicate(jt, dag, bound)
+    got, want = make_twin_jointree(jt, dag), reference_twin_jointree(jt, dag)
+    for part in ("nodes", "edges", "hosts", "edge_class", "duplicate_base", "var_dup"):
+        assert getattr(got, part) == getattr(want, part), part

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctwin import (
     Dag,
+    EliminationOrder,
     ModelError,
     classical_separators,
     jointree_from_order,
@@ -41,7 +42,7 @@ def gate_widths():
     jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
     rep = replicate(jt, dag, 10, {"D"})
     thinned = thin(rep, {"D"})
-    return classical_separators(jt).width, classical_separators(rep).width, thinned.thinned.width
+    return classical_separators(jt).width, classical_separators(rep).width, thinned.width
 
 
 def test_thinning_lowers_width_on_gate_dag():
@@ -63,7 +64,7 @@ def test_no_functional_means_no_thinning():
     dag = gate_dag()
     jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
     thinned = thin(jt, ())
-    assert thinned.thinned.separators == classical_separators(jt).separators
+    assert thinned.separators == classical_separators(jt).separators
     assert thinned.log == ()
 
 
@@ -94,6 +95,40 @@ def test_replicate_rejects_negative_bound():
         replicate(jt, dag, -1)
 
 
+def doubled_hosts(jt):
+    """(node, family) for each node that neighbours two host leaves of
+    one family."""
+    lf = jt.leaf_family()
+    out = []
+    for v, us in jt.neighbors().items():
+        families = [lf[u] for u in us if u in lf]
+        out += [(v, f) for f in sorted(set(families)) if families.count(f) > 1]
+    return out
+
+
+def test_replicate_puts_one_host_of_a_family_next_to_a_node():
+    # X's children Y and Z both hang off c1: the replica of f_X placed
+    # there for Y serves Z too, so Z gets none
+    dag = Dag.of(["A", "X", "Y", "Z"], {"X": ("A",), "Y": ("X",), "Z": ("X",)})
+    jt = jointree_from_order(dag, EliminationOrder(("A", "X", "Y", "Z")))
+    assert jt.neighbors()["c1"] == ["c0", "f_Y", "f_Z"]
+    rep = replicate(jt, dag, 10, {"X"})
+    assert rep.hosts["X"] == ("f_X", "r0_X")
+    assert rep.neighbors()["r0_X"] == ["c1"]
+    assert doubled_hosts(rep) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(2, 30), st.integers(1, 5),
+       st.integers(0, 2**32), st.booleans(), st.sampled_from((1, 10)))
+def test_replicate_never_doubles_a_family_at_a_node(gen, n, param, seed, twin, bound):
+    dag = generate_dag(gen, n, param, seed)
+    if twin:
+        dag = twin_dag(dag)
+    rep = replicate(jointree_from_order(dag, minfill_order(moral_graph(dag))), dag, bound)
+    assert doubled_hosts(rep) == []
+
+
 def test_thinned_separators_are_subsets():
     for seed in range(10):
         scm = random_scm(seed, n=8, param=3)
@@ -101,9 +136,9 @@ def test_thinned_separators_are_subsets():
         rep = replicate(jt, scm.dag, 10)
         base = classical_separators(rep)
         thinned = thin(rep, scm.dag.internals())
-        for e, s in thinned.thinned.separators.items():
+        for e, s in thinned.separators.items():
             assert s <= base.separators[e]
-        assert thinned.thinned.width <= base.width
+        assert thinned.width <= base.width
 
 
 def test_log_replays_to_same_separators():
@@ -116,7 +151,7 @@ def test_log_replays_to_same_separators():
         assert entry["rule"] in (1, 2)
         assert entry["variable"] in sep[entry["edge"]]
         sep[entry["edge"]].discard(entry["variable"])
-    assert {e: frozenset(s) for e, s in sep.items()} == thinned.thinned.separators
+    assert {e: frozenset(s) for e, s in sep.items()} == thinned.separators
 
 
 def test_only_functional_vars_thinned():
@@ -127,7 +162,7 @@ def test_only_functional_vars_thinned():
         base = classical_separators(jt)
         internal = set(scm.dag.internals())
         for e in jt.edges:
-            removed = base.separators[e] - thinned.thinned.separators[e]
+            removed = base.separators[e] - thinned.separators[e]
             assert removed <= internal
 
 
@@ -140,17 +175,17 @@ def test_twin_lift_of_thinned_separators():
         twin_jt = make_twin_jointree(rep, scm.dag)
         lifted = thinned_twin_separators(thinned, twin_jt)
         # lifted twin thinned width respects 2w + 1 over the thinned base
-        assert lifted.thinned.width <= 2 * thinned.thinned.width + 1
+        assert lifted.width <= 2 * thinned.width + 1
         roots = set(scm.dag.roots())
         for e, cls in twin_jt.edge_class.items():
-            s = lifted.thinned.separators[e]
+            s = lifted.separators[e]
             if cls == "duplicated":
-                assert s == thinned.thinned.separators[e]
+                assert s == thinned.separators[e]
             elif cls == "duplicate":
                 base_e = twin_jt.duplicate_base[e]
                 expect = {
                     v if v in roots else v + "'"
-                    for v in thinned.thinned.separators[base_e]
+                    for v in thinned.separators[base_e]
                 }
                 assert s == frozenset(expect)
 
@@ -224,7 +259,7 @@ def test_thin_replays_stays_anchored_and_is_a_fixpoint(case):
     dag, rep = case
     functional = set(dag.internals())
     thinned = thin(rep, functional)
-    seps = thinned.thinned.separators
+    seps = thinned.separators
 
     # (a) the log replays the classical separators to the thinned ones
     replay = {e: set(s) for e, s in classical_separators(rep).separators.items()}
@@ -322,4 +357,4 @@ def test_thin_matches_the_relabel_both_sides_reference(gen, n, param, seed, twin
     with mock.patch.object(thinning, "_thin_variable", reference_thin_variable):
         want = thin(rep, dag.internals())
     assert got.log == want.log
-    assert got.thinned.separators == want.thinned.separators
+    assert got.separators == want.separators
