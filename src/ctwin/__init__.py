@@ -15,7 +15,6 @@ from .inference import (
     InferenceResult,
     ZeroEvidenceError,
     brute_force_counterfactual,
-    brute_force_joint,
     build_query_network,
     counterfactual,
     factor_value,

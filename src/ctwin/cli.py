@@ -206,34 +206,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ctwin", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("gen", help="generate a random fully specified SCM")
     p.add_argument("--generator", choices=tuple(GENERATORS), default="rSCM")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", type=int, required=True)
     p.add_argument("--cardinality", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("twin", help="twin network of a base network")
     p.add_argument("--net", required=True)
-    common(p)
     p.set_defaults(fn=cmd_twin)
 
     p = sub.add_parser("nworld", help="N-world network sharing a root subset")
     p.add_argument("--net", required=True)
     p.add_argument("--worlds", type=int, required=True)
     p.add_argument("--shared", default="all")
-    common(p)
     p.set_defaults(fn=cmd_nworld)
 
     p = sub.add_parser("mutilate", help="cut incoming edges of intervened variables")
     p.add_argument("--net", required=True)
     p.add_argument("--do", required=True, help="comma-separated VAR=STATE list")
-    common(p)
     p.set_defaults(fn=cmd_mutilate)
 
     p = sub.add_parser("order", help="minfill order, optionally lifted")
@@ -241,31 +234,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lift", choices=("twin", "nworld"), default=None)
     p.add_argument("--worlds", type=int, default=2)
     p.add_argument("--shared", default="all")
-    common(p)
     p.set_defaults(fn=cmd_order)
 
     p = sub.add_parser("jointree", help="jointree from the minfill order")
     p.add_argument("--net", required=True)
-    common(p)
     p.set_defaults(fn=cmd_jointree)
 
     p = sub.add_parser("twin-jointree", help="twin jointree with lifted separators")
     p.add_argument("--net", required=True)
-    common(p)
     p.set_defaults(fn=cmd_twin_jointree)
 
     p = sub.add_parser("thin", help="replicate and thin a jointree")
     p.add_argument("--net", required=True)
     p.add_argument("--chain-bound", type=int, default=CHAIN_BOUND)
     p.add_argument("--twin", action="store_true", help="also lift to thinned twin separators")
-    common(p)
     p.set_defaults(fn=cmd_thin)
 
     p = sub.add_parser("infer", help="evaluate a counterfactual query")
     p.add_argument("--net", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--engine", choices=("ve", "jointree", "jointree-thinned", "oracle"), default="ve")
-    common(p)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("bench", help="run the width experiment suite (CSV)")
@@ -277,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("audit", help="theorem-bound audit over random instances")
@@ -286,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tightness", type=int, default=0,
                    help="also run the tightness searches up to this node count")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("treewidth", help="treewidth (exact or minfill upper bound)")
     p.add_argument("--net", required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--node-limit", type=int, default=12)
-    common(p)
     p.set_defaults(fn=cmd_treewidth)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return ap
 
 

@@ -444,18 +444,6 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
 
 # ---------------------------------------------------------------- oracles
 
-def brute_force_joint(scm: Scm) -> Factor:
-    """Full joint by multiplying every network factor, full enumeration."""
-    space = prod(scm.card(v) for v in scm.dag.nodes)
-    if space > 1 << 24:
-        raise ModelError(f"joint state space {space} exceeds the 2^24 guard")
-    f = Factor.unit()
-    for g in scm_factors(scm):
-        f = multiply(f, g)
-    perm = [f.scope.index(v) for v in scm.dag.nodes]
-    return Factor(scm.dag.nodes, np.transpose(f.values, perm))
-
-
 def _exogenous_enumeration(net: Scm, evidence: Evidence, target: Evidence):
     """Pr(target, evidence) and Pr(evidence) by enumerating root
     instantiations and propagating internals deterministically."""

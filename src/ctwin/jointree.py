@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .elimination import EliminationOrder, _family_adjacency, _replay
+from .elimination import EliminationOrder, _bits, _family_adjacency, _replay
 from .model import Dag, InvariantError, ModelError
-from .worlds import _twin_structure, twin_name
+from .worlds import twin_name
 
 
 def edge_key(a: str, b: str) -> tuple[str, str]:
@@ -24,10 +25,11 @@ class Jointree:
 
     Construction raises ModelError on any violated invariant, and derives
     once the neighbour lists, the leaf -> family map, `rooting`, the
-    breadth-first order and parents from nodes[0], and `children`, each
-    node's children in neighbour order. Every pass that walks the tree
-    reads these. Callers must not change them; `dataclasses.replace`
-    derives them afresh.
+    breadth-first order and parents from nodes[0], `children`, each
+    node's children in neighbour order, and the variable index: bit i of
+    a mask is `variables[i]` (the family children in order), `bit_of` and
+    `family_masks` give each variable's bit and each family's mask.
+    Callers must not change them; `dataclasses.replace` derives them afresh.
 
     For twin jointrees produced by `make_twin_jointree`, `edge_class`
     labels every edge duplicated / duplicate / invariant,
@@ -48,6 +50,9 @@ class Jointree:
     _leaf_family: dict[str, str] = field(init=False, repr=False, compare=False)
     rooting: tuple[list[str], dict[str, str | None]] = field(init=False, repr=False, compare=False)
     children: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    bit_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    family_masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.edges) != len(self.nodes) - 1:
@@ -72,6 +77,8 @@ class Jointree:
             raise ModelError("tree is not connected")
         lf: dict[str, str] = {}
         for child, leaves in self.hosts.items():
+            if child not in self.families:
+                raise ModelError(f"hosted family {child!r} is not a family")
             for leaf in leaves:
                 if leaf in lf:
                     raise ModelError(f"leaf {leaf!r} hosts two families")
@@ -83,13 +90,28 @@ class Jointree:
         for v in self.nodes:
             if len(nb[v]) <= 1 and v not in lf:
                 raise ModelError(f"leaf {v!r} hosts no family")
-        for child in self.families:
+        bit_of = {v: 1 << i for i, v in enumerate(self.families)}
+        masks = {}
+        for child, members in self.families.items():
             if not self.hosts.get(child):
                 raise ModelError(f"family of {child!r} has no host")
+            if child not in members:
+                raise ModelError(f"family of {child!r} does not contain {child!r}")
+            try:
+                masks[child] = sum(map(bit_of.__getitem__, members))
+            except KeyError as exc:
+                raise ModelError(f"family of {child!r} mentions {exc.args[0]!r}, which has no family") from None
         object.__setattr__(self, "_neighbors", nb)
         object.__setattr__(self, "_leaf_family", lf)
         object.__setattr__(self, "rooting", (order, parent))
         object.__setattr__(self, "children", children)
+        object.__setattr__(self, "variables", tuple(bit_of))
+        object.__setattr__(self, "bit_of", bit_of)
+        object.__setattr__(self, "family_masks", masks)
+
+    def variable_set(self, mask: int) -> frozenset[str]:
+        """The variables of a mask over this tree's index."""
+        return frozenset(self.variables[i] for i in _bits(mask))
 
     def neighbors(self) -> dict[str, list[str]]:
         return self._neighbors
@@ -102,14 +124,24 @@ class Jointree:
 @dataclass(frozen=True)
 class SeparatorAssignment:
     """A jointree with a separator on every edge, the clusters and widths
-    they give, and, for thinned separators, the removal audit."""
+    they give, and, for thinned separators, the removal audit. Separators
+    and clusters are masks over the jointree's variable index; their
+    frozenset views `separators` and `clusters` are built when first read."""
 
     jointree: Jointree
-    separators: dict[tuple[str, str], frozenset[str]]
-    clusters: dict[str, frozenset[str]]
+    separator_masks: dict[tuple[str, str], int]
+    cluster_masks: dict[str, int]
     width: int
     normalized_width: float
     log: tuple[dict, ...] = ()  # thinning removals: {edge, variable, rule, witness}
+
+    @cached_property
+    def separators(self) -> dict[tuple[str, str], frozenset[str]]:
+        return {e: self.jointree.variable_set(m) for e, m in self.separator_masks.items()}
+
+    @cached_property
+    def clusters(self) -> dict[str, frozenset[str]]:
+        return {v: self.jointree.variable_set(m) for v, m in self.cluster_masks.items()}
 
 
 def _log2_big(total: int) -> float:
@@ -117,50 +149,50 @@ def _log2_big(total: int) -> float:
     return math.log2(total >> shift) + shift
 
 
-def _assemble(jt: Jointree, separators, log=()) -> SeparatorAssignment:
-    lf = jt.leaf_family()
-    nb = jt.neighbors()
-    clusters = {}
-    for v in jt.nodes:
-        if v in lf:
-            clusters[v] = jt.families[lf[v]]
-        else:
-            c: frozenset[str] = frozenset()
-            for u in nb[v]:
-                c |= separators[edge_key(v, u)]
-            clusters[v] = c
-    sizes = [len(c) for c in clusters.values()]
-    return SeparatorAssignment(jt, dict(separators), clusters, max(sizes) - 1,
+def _assemble(jt: Jointree, separators: dict[tuple[str, str], int], log=()) -> SeparatorAssignment:
+    """Clusters from separator masks: a host leaf's is its family, any
+    other node's the union of the separators on its edges."""
+    clusters = dict.fromkeys(jt.nodes, 0)
+    for (a, b), s in separators.items():
+        clusters[a] |= s
+        clusters[b] |= s
+    for leaf, child in jt.leaf_family().items():
+        clusters[leaf] = jt.family_masks[child]
+    sizes = [c.bit_count() for c in clusters.values()]
+    return SeparatorAssignment(jt, separators, clusters, max(sizes) - 1,
                                _log2_big(sum(1 << s for s in sizes)), log)
+
+
+def _classical_masks(jt: Jointree) -> dict[tuple[str, str], int]:
+    """classical_separators as masks: below a node is the union over its
+    subtree; above it, its parent's above plus what hangs off the parent
+    and the node's siblings, from prefix and suffix unions of siblings."""
+    hosted = {leaf: jt.family_masks[child] for leaf, child in jt.leaf_family().items()}
+    order, parent = jt.rooting
+    children = jt.children
+    below: dict[str, int] = {}
+    for v in reversed(order):
+        s = hosted.get(v, 0)
+        for u in children[v]:
+            s |= below[u]
+        below[v] = s
+    above = {order[0]: 0}
+    for v in order:
+        kids = children[v]
+        s = above[v] | hosted.get(v, 0)
+        for u in kids:  # prefix: the earlier siblings
+            above[u] = s
+            s |= below[u]
+        s = 0
+        for u in reversed(kids):  # suffix: the later siblings
+            above[u] |= s
+            s |= below[u]
+    return {edge_key(v, parent[v]): below[v] & above[v] for v in order[1:]}
 
 
 def classical_separators(jt: Jointree) -> SeparatorAssignment:
     """S_ij = variables hosted on both sides of edge (i, j)."""
-    hosted = {leaf: jt.families[child] for leaf, child in jt.leaf_family().items()}
-    order, parent = jt.rooting
-    children = jt.children
-    below: dict[str, frozenset[str]] = {}
-    for v in reversed(order):
-        s = hosted.get(v, frozenset())
-        for u in children[v]:
-            s |= below[u]
-        below[v] = s
-    above: dict[str, frozenset[str]] = {order[0]: frozenset()}
-    for v in order:
-        kids = children[v]
-        base = above[v] | hosted.get(v, frozenset())
-        for u in kids:
-            s = base
-            for w in kids:
-                if w is not u:
-                    s |= below[w]
-            above[u] = s
-    separators = {
-        edge_key(v, parent[v]): below[v] & above[v]
-        for v in order
-        if parent[v] is not None
-    }
-    return _assemble(jt, separators)
+    return _assemble(jt, _classical_masks(jt))
 
 
 def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
@@ -173,13 +205,11 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
     cname = [f"c{i}" for i in range(n)]
     nodes = list(cname)
     edges = []
-    linked = [False] * n
     for i in range(n):
         if rest[i]:
             edges.append(edge_key(cname[i], cname[(rest[i] & -rest[i]).bit_length() - 1]))
-            linked[i] = True
     # connect remaining components (clusters that ended a component) in a chain
-    tails = [i for i in range(n) if not linked[i]]
+    tails = [i for i in range(n) if not rest[i]]
     for a, b in zip(tails, tails[1:]):
         edges.append(edge_key(cname[a], cname[b]))
 
@@ -220,10 +250,17 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
 
 def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     """Convert a base jointree into a twin jointree by duplicating the
-    maximal subtrees whose leaves host only internal families."""
+    maximal subtrees whose leaves host only internal families. The twin
+    families are the base ones, then each internal X' with its family
+    primed, so the twin index extends the base index."""
     roots = set(base.roots())
-    families = {v: frozenset((v,) + ps) for v, ps in _twin_structure(base)[1].items()}
     var_dup = {v: (v if v in roots else twin_name(v)) for v in base.nodes}
+    if jt.families.keys() != var_dup.keys():
+        raise ModelError("the jointree's families are not those of the DAG's nodes")
+    families = dict(jt.families)
+    for child, members in jt.families.items():
+        if child not in roots:
+            families[var_dup[child]] = frozenset(var_dup[v] for v in members)
 
     lf = jt.leaf_family()
     nodes = list(jt.nodes)
@@ -236,33 +273,28 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
         kinds[v] = {lf[v] in roots} if v in lf else set()
         for k in children[v]:
             kinds[v] |= kinds[k]
+    if len(nodes) == 2 and kinds[order[0]] != {True}:
+        raise ModelError(f"Alg 1 cannot lift the 2-node jointree {nodes[0]} - {nodes[1]}: it has no internal node")
 
     edge_class: dict[tuple[str, str], str] = {}
     duplicate_base: dict[tuple[str, str], tuple[str, str]] = {}
 
     def duplicate_subtree(r, p):
-        sub = [r]
-        stack = [r]
+        sub, stack = [r], [r]
         while stack:
-            v = stack.pop()
-            for k in children[v]:
-                sub.append(k)
-                stack.append(k)
+            kids = children[stack.pop()]
+            sub += kids
+            stack += kids
         dup = {v: v + "'" for v in sub}
         nodes.extend(dup[v] for v in sub)
         inner = [(v, k) for v in sub for k in children[v]]
         for a, b in inner + [(p, r)]:
-            e = edge_key(a, b)
-            da, db = dup.get(a, a), dup.get(b, b)
-            de = edge_key(da, db)
+            e, de = edge_key(a, b), edge_key(dup.get(a, a), dup.get(b, b))
             edges.append(de)
-            edge_class[e] = "duplicated"
-            edge_class[de] = "duplicate"
-            duplicate_base[de] = e
+            edge_class[e], edge_class[de], duplicate_base[de] = "duplicated", "duplicate", e
         for v in sub:
             if v in lf:
-                child = lf[v]
-                hosts.setdefault(twin_name(child), []).append(dup[v])
+                hosts.setdefault(twin_name(lf[v]), []).append(dup[v])
 
     def visit(r, p):
         if kinds[r] == {True}:
@@ -277,42 +309,38 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     for e in edges:
         edge_class.setdefault(e, "invariant")
 
-    return Jointree(
-        tuple(nodes),
-        tuple(edges),
-        {c: tuple(hs) for c, hs in hosts.items()},
-        families,
-        edge_class=edge_class,
-        duplicate_base=duplicate_base,
-        var_dup=var_dup,
-    )
-
-
-def _primed(s: frozenset[str], var_dup: dict[str, str]) -> frozenset[str]:
-    return frozenset(var_dup[v] for v in s)
-
-
-def lift_separators(base_separators, twin_jt: Jointree) -> dict:
-    """Separator lifting shared by the classical (Thm-2) and thinned
-    (Thm-3) paths: duplicated edges keep S, duplicate edges carry S',
-    invariant edges carry S union S'."""
-    if twin_jt.edge_class is None or twin_jt.var_dup is None:
-        raise ModelError("twin jointree lacks edge classes; use make_twin_jointree")
-    out = {}
-    for e in twin_jt.edges:
-        cls = twin_jt.edge_class[e]
-        if cls == "duplicated":
-            out[e] = base_separators[e]
-        elif cls == "duplicate":
-            out[e] = _primed(base_separators[twin_jt.duplicate_base[e]], twin_jt.var_dup)
-        else:
-            s = base_separators[e]
-            out[e] = s | _primed(s, twin_jt.var_dup)
-    return out
+    return Jointree(tuple(nodes), tuple(edges), {c: tuple(hs) for c, hs in hosts.items()}, families,
+                    edge_class=edge_class, duplicate_base=duplicate_base, var_dup=var_dup)
 
 
 def twin_separators_direct(base_seps: SeparatorAssignment, twin_jt: Jointree) -> SeparatorAssignment:
-    """Twin separators lifted from the base separators: Thm 2 for
-    classical ones, Thm 3 for thinned ones. The log is the base removal
-    log, on base edges."""
-    return _assemble(twin_jt, lift_separators(base_seps.separators, twin_jt), base_seps.log)
+    """Twin separators lifted from the base separators, Thm 2 for
+    classical ones and Thm 3 for thinned ones: duplicated edges keep S,
+    duplicate edges carry S', invariant edges carry S union S'. The twin
+    index extends the base index, so S keeps its mask and S' maps each
+    bit through a table. The log is the base removal log, on base edges."""
+    if twin_jt.edge_class is None or twin_jt.var_dup is None:
+        raise ModelError("twin jointree lacks edge classes; use make_twin_jointree")
+    base_vars = base_seps.jointree.variables
+    if twin_jt.variables[:len(base_vars)] != base_vars:
+        raise ModelError("twin jointree was not made from this base jointree")
+    primed_bit = [twin_jt.bit_of[twin_jt.var_dup[v]] for v in base_vars]
+
+    def primed(s: int) -> int:
+        t = 0
+        while s:
+            low = s & -s
+            t |= primed_bit[low.bit_length() - 1]
+            s ^= low
+        return t
+
+    seps, out = base_seps.separator_masks, {}
+    for e in twin_jt.edges:
+        cls = twin_jt.edge_class[e]
+        if cls == "duplicated":
+            out[e] = seps[e]
+        elif cls == "duplicate":
+            out[e] = primed(seps[twin_jt.duplicate_base[e]])
+        else:
+            out[e] = seps[e] | primed(seps[e])
+    return _assemble(twin_jt, out, base_seps.log)

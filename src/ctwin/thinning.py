@@ -8,11 +8,12 @@ from dataclasses import replace
 from functools import cached_property
 from itertools import count
 
-from .elimination import EliminationOrder
+from .elimination import EliminationOrder, _bits
 from .jointree import (
     Jointree,
     SeparatorAssignment,
     _assemble,
+    _classical_masks,
     classical_separators,
     edge_key,
     jointree_from_order,
@@ -51,10 +52,11 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
             if not eligible:
                 continue
             h = min(eligible, key=lambda l: (-host_depth[l], l))
-            depth = host_depth[h] + 1
             (u,) = nb[h]  # the internal node next to h
             if any(w in leaf_of and leaf_of[w] == x for w in nb[u]):
                 continue  # a host of f_x already sits here
+            if u in leaf_of:
+                raise ModelError(f"cannot replicate f_{x} on the 2-node jointree {h} - {u}: it has no internal node")
             leaf = f"r{counter}_{x}"
             counter += 1
             nodes.append(leaf)
@@ -63,14 +65,9 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
             nb[u].add(leaf)
             hosts[x].append(leaf)
             leaf_of[leaf] = x
-            host_depth[leaf] = depth
+            host_depth[leaf] = host_depth[h] + 1
 
-    return replace(
-        jt,
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges)),
-        hosts={c: tuple(hs) for c, hs in hosts.items()},
-    )
+    return replace(jt, nodes=tuple(nodes), edges=tuple(sorted(edges)), hosts={c: tuple(hs) for c, hs in hosts.items()})
 
 
 def thin(jt: Jointree, functional) -> SeparatorAssignment:
@@ -86,24 +83,25 @@ def thin(jt: Jointree, functional) -> SeparatorAssignment:
     Rules and guard for (x, e) read only the edges carrying x, so each
     variable runs to its own fixpoint and the log is ordered by (pass,
     edge, variable), as one joint sweep would order it."""
-    functional = frozenset(functional)
-    sep = {e: set(s) for e, s in classical_separators(jt).separators.items()}
+    names, bit_of = jt.variables, jt.bit_of
+    functional = sum(bit_of[v] for v in set(functional) if v in bit_of)
+    sep = _classical_masks(jt)
     mention: dict[str, set[str]] = {}
     for leaf, child in jt.leaf_family().items():
-        for v in jt.families[child] & functional:
-            mention.setdefault(v, set()).add(leaf)
+        for i in _bits(jt.family_masks[child] & functional):
+            mention.setdefault(names[i], set()).add(leaf)
     var_edges: dict[str, list[tuple[str, str]]] = {}
     for e, s in sep.items():
-        for v in s & functional:
-            var_edges.setdefault(v, []).append(e)
+        for i in _bits(s & functional):
+            var_edges.setdefault(names[i], []).append(e)
     removals = []
     for x, edges in var_edges.items():
         removals += _thin_variable(x, sorted(edges), set(jt.hosts.get(x, ())), mention.get(x, set()))
     log = []
     for _, e, x, rule, witness in sorted(removals, key=lambda r: r[:3]):
-        sep[e].discard(x)
+        sep[e] &= ~bit_of[x]
         log.append({"edge": e, "variable": x, "rule": rule, "witness": witness})
-    return _assemble(jt, {e: frozenset(s) for e, s in sep.items()}, tuple(log))
+    return _assemble(jt, sep, tuple(log))
 
 
 def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]:

@@ -10,7 +10,6 @@ from ctwin import (
     ModelError,
     ZeroEvidenceError,
     brute_force_counterfactual,
-    brute_force_joint,
     build_query_network,
     counterfactual,
     factor_value,
@@ -20,6 +19,7 @@ from ctwin import (
     moral_graph,
     multiply,
     reduce_factor,
+    scm_factors,
     sum_out,
     ve_query,
 )
@@ -104,6 +104,15 @@ def test_sum_out_and_reduce():
 
 
 # ---------------------------------------------------------------- VE
+
+def brute_force_joint(scm):
+    """Reference: the full joint, by multiplying every network factor."""
+    f = Factor.unit()
+    for g in scm_factors(scm):
+        f = multiply(f, g)
+    perm = [f.scope.index(v) for v in scm.dag.nodes]
+    return Factor(scm.dag.nodes, np.transpose(f.values, perm))
+
 
 def test_ve_marginal_matches_joint(adder):
     order = minfill_order(moral_graph(adder.dag))

@@ -5,18 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctwin import (
+    Dag,
     ModelError,
+    SeparatorAssignment,
     classical_separators,
     jointree_from_order,
     make_twin_jointree,
     minfill_order,
     moral_graph,
     replicate,
+    thin,
     twin_network,
     twin_separators_direct,
 )
-from ctwin.bench import generate_dag
-from ctwin.jointree import Jointree, edge_key
+from ctwin.bench import generate_dag, instance_widths
+from ctwin.jointree import Jointree, _log2_big, edge_key
 from ctwin.randgen import GENERATORS
 from ctwin.worlds import _twin_structure, twin_name
 
@@ -58,12 +61,37 @@ PATH = (("a", "b"), ("b", "c"))  # a - b - c
         pytest.param("abc", PATH, {"x": "a", "y": "ca"}, "xy", "'a' hosts two families", id="leaf-hosts-two"),
         pytest.param("ab", (("a", "z"),), {"x": "a", "y": "b"}, "xy", "'z' is not a node", id="edge-off-tree"),
         pytest.param("ab", PATH[:1], {"x": "a", "y": "q"}, "xy", "'q' is not a node", id="host-off-tree"),
+        pytest.param("ab", PATH[:1], {"x": "a", "q": "b"}, "x", "'q' is not a family", id="host-of-no-family"),
+        # a 3-node star whose families mention X, which has no family
+        pytest.param("cfg", (("c", "f"), ("c", "g")), {"Y": "f", "Z": "g"}, {"Y": "XY", "Z": "XZ"},
+                     "'Y' mentions 'X', which has no family", id="mentioned-without-family"),
+        pytest.param("ab", PATH[:1], {"x": "a", "y": "b"}, {"x": "x", "y": "x"}, "'y' does not contain 'y'",
+                     id="childless-family"),
     ],
 )
 def test_construction_rejects_invalid_tree(nodes, edges, hosts, families, problem):
+    if isinstance(families, str):
+        families = {c: c for c in families}
     with pytest.raises(ModelError, match=problem):
         Jointree(tuple(nodes), edges, {c: tuple(hs) for c, hs in hosts.items()},
-                 {c: frozenset(c) for c in families})
+                 {c: frozenset(m) for c, m in families.items()})
+
+
+def two_node_tree():
+    """f_A - f_B with B a child of A: valid, but with no internal node."""
+    dag = Dag.of(["A", "B"], {"B": ("A",)})
+    jt = Jointree(("f_A", "f_B"), (("f_A", "f_B"),), {"A": ("f_A",), "B": ("f_B",)},
+                  {"A": frozenset("A"), "B": frozenset("AB")})
+    return jt, dag
+
+
+def test_two_node_tree_is_named_as_unsupported():
+    jt, dag = two_node_tree()
+    with pytest.raises(ModelError, match="Alg 1 cannot lift the 2-node jointree f_A - f_B"):
+        make_twin_jointree(jt, dag)
+    with pytest.raises(ModelError, match="cannot replicate f_A on the 2-node jointree f_B - f_A"):
+        replicate(jt, dag, 1, {"A"})
+    assert replicate(jt, dag, 1) == jt  # nothing to place: B has no children
 
 
 def test_classical_separators_definition(adder):
@@ -249,5 +277,115 @@ def test_twin_jointree_matches_the_self_rooting_reference(gen, n, param, seed, r
     if replicated:
         jt = replicate(jt, dag, bound)
     got, want = make_twin_jointree(jt, dag), reference_twin_jointree(jt, dag)
-    for part in ("nodes", "edges", "hosts", "edge_class", "duplicate_base", "var_dup"):
+    for part in ("nodes", "edges", "hosts", "families", "edge_class", "duplicate_base", "var_dup"):
         assert getattr(got, part) == getattr(want, part), part
+
+
+# ------------------------------------- masks against the frozenset reference
+
+
+def reference_classical_separators(jt):
+    """The frozenset S_ij: hosted below times hosted above, the side above
+    a node taken by OR-ing every other sibling, quadratic in degree."""
+    hosted = {leaf: jt.families[child] for leaf, child in jt.leaf_family().items()}
+    order, parent = jt.rooting
+    below = {}
+    for v in reversed(order):
+        s = hosted.get(v, frozenset())
+        for u in jt.children[v]:
+            s |= below[u]
+        below[v] = s
+    above = {order[0]: frozenset()}
+    for v in order:
+        kids = jt.children[v]
+        base = above[v] | hosted.get(v, frozenset())
+        for u in kids:
+            s = base
+            for w in kids:
+                if w is not u:
+                    s |= below[w]
+            above[u] = s
+    return {edge_key(v, parent[v]): below[v] & above[v] for v in order if parent[v] is not None}
+
+
+def reference_assemble(jt, separators):
+    """Frozenset clusters, width and normalized width of separators."""
+    lf, nb = jt.leaf_family(), jt.neighbors()
+    clusters = {}
+    for v in jt.nodes:
+        if v in lf:
+            clusters[v] = jt.families[lf[v]]
+        else:
+            clusters[v] = frozenset().union(*(separators[edge_key(v, u)] for u in nb[v]))
+    sizes = [len(c) for c in clusters.values()]
+    return separators, clusters, max(sizes) - 1, _log2_big(sum(1 << s for s in sizes))
+
+
+def reference_lift(separators, twin_jt):
+    """Thm-2/3 lift on frozensets: S, S' and S union S' by edge class."""
+    def primed(s):
+        return frozenset(twin_jt.var_dup[v] for v in s)
+
+    out = {}
+    for e in twin_jt.edges:
+        cls = twin_jt.edge_class[e]
+        if cls == "duplicated":
+            out[e] = separators[e]
+        elif cls == "duplicate":
+            out[e] = primed(separators[twin_jt.duplicate_base[e]])
+        else:
+            out[e] = separators[e] | primed(separators[e])
+    return out
+
+
+def assert_matches(got, want):
+    assert (got.separators, got.clusters, got.width, got.normalized_width) == want
+    assert list(got.separators) == list(want[0]) and list(got.clusters) == list(want[1])
+
+
+def check_against_the_reference(dag, bound):
+    """Classical separators of the base, replicated and twin trees, and
+    the Thm-2 and Thm-3 lifts, against the frozenset reference."""
+    jt = base_jointree_of(dag)
+    rep = replicate(jt, dag, bound)  # replicas hang off the nodes next to hosts
+    for tree in (jt, rep, make_twin_jointree(jt, dag), make_twin_jointree(rep, dag)):
+        assert_matches(classical_separators(tree), reference_assemble(tree, reference_classical_separators(tree)))
+    for tree in (jt, rep):
+        twin_jt = make_twin_jointree(tree, dag)
+        base = classical_separators(tree)  # Thm 2
+        assert_matches(twin_separators_direct(base, twin_jt),
+                       reference_assemble(twin_jt, reference_lift(base.separators, twin_jt)))
+        thinned = thin(tree, dag.internals())  # Thm 3
+        assert_matches(thinned, reference_assemble(tree, thinned.separators))
+        assert_matches(twin_separators_direct(thinned, twin_jt),
+                       reference_assemble(twin_jt, reference_lift(thinned.separators, twin_jt)))
+    return max(len(ks) for ks in rep.children.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(2, 30), st.integers(1, 5),
+       st.integers(0, 2**32), st.sampled_from((1, 3, 10)))
+def test_mask_separators_match_the_frozenset_reference(gen, n, param, seed, bound):
+    check_against_the_reference(generate_dag(gen, n, param, seed), bound)
+
+
+@pytest.mark.parametrize("fan_out", (3, 8, 20))
+def test_mask_separators_match_the_frozenset_reference_at_hubs(fan_out):
+    # a functional X under one root, with fan_out children: replication
+    # hangs one replica of f_X by each child's host, so nodes get many children
+    kids = [f"Y{i}" for i in range(fan_out)]
+    dag = Dag.of(["R", "X"] + kids, {"X": ("R",), **{y: ("X",) for y in kids}})
+    assert check_against_the_reference(dag, 10) > fan_out
+
+
+def test_instance_widths_never_builds_the_frozenset_views(monkeypatch):
+    built = []
+    for name in ("separators", "clusters"):
+        view = getattr(SeparatorAssignment, name).func
+        monkeypatch.setattr(SeparatorAssignment, name,
+                            property(lambda self, name=name, view=view: built.append(name) or view(self)))
+    for seed in range(4):
+        instance_widths(generate_dag("rSCM", 14, 3, seed), 10)
+    assert built == []
+    jt = base_jointree_of(generate_dag("rSCM", 14, 3, 0))
+    assert classical_separators(jt).clusters and built == ["clusters"]
