@@ -297,6 +297,9 @@ def main(argv=None) -> int:
     except (ModelError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory{': ' if str(e) else ''}{e}", file=sys.stderr)
+        return 1
     except InvariantError as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 2

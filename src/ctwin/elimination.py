@@ -40,10 +40,15 @@ def _bits(mask: int):
 
 
 def _eliminate_bit(adj: list[int], i: int) -> int:
-    """Connect i's neighbours pairwise and remove i; returns them."""
-    nb = adj[i]
-    for j in _bits(nb):
-        adj[j] = (adj[j] | nb) & ~((1 << j) | (1 << i))
+    """Connect i's neighbours pairwise and remove i; returns them. The
+    bits are walked inline: every ve layout replays its order."""
+    nb = rest = adj[i]
+    drop = ~(1 << i)
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1
+        adj[j] = (adj[j] | nb) & drop & ~low
+        rest ^= low
     adj[i] = 0
     return nb
 
@@ -56,19 +61,17 @@ def _replay(adj: list[int]) -> list[int]:
     return [_eliminate_bit(adj, i) for i in range(len(adj))]
 
 
-def _family_adjacency(sequence, parents: dict[str, tuple[str, ...]], cut=()) -> list[int]:
+def _family_adjacency(sequence, parents: dict[str, tuple[str, ...]]) -> list[int]:
     """The moral graph of the DAG with these parents as a bit adjacency,
-    bit i the i-th node of sequence; the incoming edges of every node in
-    cut are removed, as intervening on it does."""
+    bit i the i-th node of sequence."""
     if sorted(sequence) != sorted(parents):
         raise ModelError("order is not a permutation of the graph's nodes")
     index = {v: i for i, v in enumerate(sequence)}
     adj = [0] * len(sequence)
     for v, i in index.items():
         family = 1 << i
-        if v not in cut:
-            for p in parents[v]:
-                family |= 1 << index[p]
+        for p in parents[v]:
+            family |= 1 << index[p]
         for j in _bits(family):
             adj[j] |= family
     return [a & ~(1 << i) for i, a in enumerate(adj)]

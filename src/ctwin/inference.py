@@ -14,7 +14,7 @@ import numpy as np
 
 from .elimination import EliminationOrder, _family_adjacency, _replay, minfill_order, n_world_order, twin_order
 from .jointree import Jointree, SeparatorAssignment, classical_separators, edge_key
-from .model import Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
+from .model import Dag, Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
 from .thinning import Structures
 from .worlds import _point_masses, moral_graph, mutilate, n_world_network, twin_network
 
@@ -102,37 +102,134 @@ def _check_states(scm: Scm, e: Evidence):
             raise ModelError(f"state {s} out of range for {v!r}")
 
 
-def _eliminate_all(pools: list[list[Factor]], order: tuple[str, ...]) -> list[tuple[float, int]]:
-    """Sum out every variable in order from each pool of factors, the
-    pools in lockstep; returns (value, peak scope size) per pool.
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
-    A factor waits in the bucket of its earliest variable in the order, so
-    when a variable is eliminated its bucket holds, in pool order, exactly
-    the factors that mention it. Where a pool's bucket holds the same
-    objects as the previous pool's, their product and sum are computed
-    once and the one result goes to both pools."""
-    pos = {v: i for i, v in enumerate(order)}
-    end = len(order)  # the bucket of factors with an empty scope
-    buckets = [[[] for _ in range(end + 1)] for _ in pools]
-    for bucket, factors in zip(buckets, pools):
-        for f in factors:
-            bucket[min((pos[x] for x in f.scope), default=end)].append(f)
+
+class _Buckets:
+    """The bucket tree of an elimination order over a network's family
+    factors, from one replay of the network's moral graph (Dechter 1999;
+    Darwiche 2009, ch. 6). Bucket i eliminates the i-th variable of the
+    order; bucket len(sequence) holds the factors with an empty scope.
+
+    A family's factor starts in its base bucket, that of its earliest
+    variable. Bucket i's result has the scope out[i], the cluster of i
+    less i, and goes to parent[i], the bucket of its lowest bit. Every
+    member of out[i] is an ancestor of i. So a factor whose scope only
+    shrinks (reduced, or cut to a point mass) lands on an ancestor of its
+    base bucket, and a bucket with no such factor at or below it computes
+    from the same operands, in the same order, on every query. When keep
+    is set, results maps each such clean bucket to its product's size and
+    its result, for every later query over these factors."""
+
+    def __init__(self, dag: Dag, sequence: tuple[str, ...], factors: list[Factor], keep: bool = False):
+        self.sequence, self.factors, self.keep = sequence, factors, keep
+        self.pos = pos = {v: i for i, v in enumerate(sequence)}
+        self.out = _replay(_family_adjacency(sequence, dag.parents))
+        n = len(sequence)
+        self.parent = [_low(o) if o else n for o in self.out]
+        bit = {v: 1 << i for i, v in enumerate(sequence)}
+        self.family = {v: sum(map(bit.__getitem__, f.scope)) for v, f in zip(dag.nodes, factors)}
+        self.base = [_low(m) for m in self.family.values()]
+        self.hosted: list[list[tuple[str, int]]] = [[] for _ in range(n + 1)]  # the families by base bucket
+        for (v, m), b in zip(self.family.items(), self.base):
+            self.hosted[b].append((v, m))
+        self.children: list[list[int]] = [[] for _ in range(n + 1)]
+        self.widest = [o.bit_count() for o in self.out] + [0]  # the widest out[] in each subtree
+        for i, p in enumerate(self.parent):  # a child comes before its parent
+            self.children[p].append(i)
+            self.widest[p] = max(self.widest[p], self.widest[i])
+        self.results: dict[int, tuple[int, Factor]] = {}
+
+    def closure(self, buckets) -> set[int]:
+        """The buckets and all their ancestors."""
+        out, end = set(), len(self.sequence)
+        for b in buckets:
+            while b != end and b not in out:
+                out.add(b)
+                b = self.parent[b]
+        return out
+
+    def width(self, cut=()) -> int:
+        """The order's width once the family of each variable in cut is cut
+        to that variable, as `_replay` gives it on the cut moral graph. Only
+        the cut families' base buckets and their ancestors change. Each of
+        those, in order, unites what lands in it: its uncut families, the
+        cut ones it is the variable of, and its children's outputs. A clean
+        child's subtree keeps its uncut outputs, the widest of which is
+        precomputed."""
+        pos = self.pos
+        redo = sorted(self.closure(_low(self.family[v]) for v in cut))
+        acc = dict.fromkeys(redo + [len(self.sequence)], 0)
+        for v in cut:
+            acc[pos[v]] |= 1 << pos[v]
+        width = 0
+        for i in acc:
+            for c in self.children[i]:
+                if c not in acc:
+                    width = max(width, self.widest[c])
+                    acc[i] |= self.out[c]
+            for v, m in self.hosted[i]:
+                if v not in cut:
+                    acc[i] |= m
+            o = acc[i] & ~(1 << i)
+            width = max(width, o.bit_count())
+            if o:
+                acc[_low(o)] |= o
+        return width
+
+
+def _eliminate_all(pools: list[list[Factor]], buckets: _Buckets) -> list[tuple[float, int]]:
+    """Sum out every variable in the buckets' order from each pool, one
+    factor per family in network node order, the pools in lockstep;
+    returns (value, peak scope size) per pool.
+
+    A factor waits in the bucket of its earliest variable: a family's
+    compiled factor in its base bucket, any other (reduced, or a point
+    mass) where its scope puts it. So when a variable is eliminated its
+    bucket holds, in pool order, exactly the factors that mention it. A
+    bucket that is neither the base bucket of such another factor nor an
+    ancestor of one is clean: it takes its stored result when there is
+    one, and stores the one it computes when the tree keeps results.
+    Where a pool's bucket holds the same objects as the previous pool's,
+    their product and sum are computed once and the one result goes to
+    both pools."""
+    pos, parent, results = buckets.pos, buckets.parent, buckets.results
+    end = len(buckets.sequence)
+    lists, dirty = [], []
+    for factors in pools:
+        bucket: list = [[] for _ in range(end + 1)]
+        changed = []
+        for f, g, b in zip(factors, buckets.factors, buckets.base):
+            if f is not g:
+                changed.append(b)
+                b = min((pos[x] for x in f.scope), default=end)
+            bucket[b].append(f)
+        lists.append(bucket)
+        dirty.append(buckets.closure(changed))
     peaks = [max((len(f.scope) for f in factors), default=0) for factors in pools]
-    for i, v in enumerate(order):
+    for i, v in enumerate(buckets.sequence):
         prev: list[Factor] = []
-        for k, bucket in enumerate(buckets):
+        for k, bucket in enumerate(lists):
             touching, bucket[i] = bucket[i], None
-            if not touching:
+            clean = i not in dirty[k]
+            if clean and i in results:
+                size, out = results[i]
+            elif not touching:
                 continue
-            if len(touching) != len(prev) or any(f is not g for f, g in zip(touching, prev)):
-                prev, f = touching, touching[0]
-                for g in touching[1:]:
-                    f = multiply(f, g)
-                size, out = len(f.scope), sum_out(f, v)
+            else:
+                if len(touching) != len(prev) or any(f is not g for f, g in zip(touching, prev)):
+                    prev, f = touching, touching[0]
+                    for g in touching[1:]:
+                        f = multiply(f, g)
+                    made = len(f.scope), sum_out(f, v)
+                size, out = made
+                if clean and buckets.keep:
+                    results[i] = made
             peaks[k] = max(peaks[k], size)
-            bucket[min((pos[x] for x in out.scope), default=end)].append(out)
+            bucket[parent[i] if clean else min((pos[x] for x in out.scope), default=end)].append(out)
     return [(prod((factor_value(f) for f in bucket[end]), start=1.0), peak)
-            for bucket, peak in zip(buckets, peaks)]
+            for bucket, peak in zip(lists, peaks)]
 
 
 def ve_query(
@@ -146,25 +243,25 @@ def ve_query(
 
     The largest intermediate factor is checked to stay within the
     order's width + 1 (the complexity contract made checkable)."""
-    return _ve(scm, scm_factors(scm), evidence, order, target, mode)
+    factors = scm_factors(scm)
+    return _ve(scm, factors, evidence, _Buckets(scm.dag, order.sequence, factors), target, mode)
 
 
-def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, order: EliminationOrder,
+def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, buckets: _Buckets,
         target: Evidence, mode: str, cut=()) -> InferenceResult:
     """ve_query over the given factors of scm, in network node order, in
-    which the family of each variable in cut is a point mass."""
+    which the family of each variable in cut is a point mass, on the
+    bucket tree of scm's compiled factors."""
     _check_states(scm, evidence)
     _check_states(scm, target)
-    if set(order.sequence) != set(scm.dag.nodes):
-        raise ModelError("order does not cover the network's variables")
-    width = max(map(int.bit_count, _replay(_family_adjacency(order.sequence, scm.dag.parents, cut))), default=0)
+    width = buckets.width(cut)
 
     for v, s in target.items():
         if evidence.assignments.get(v, s) != s:
-            return InferenceResult(0.0, _prob(factors, order, evidence, width=width)[0], "ve")
+            return InferenceResult(0.0, _prob(factors, buckets, evidence, width=width)[0], "ve")
 
     both = Evidence({**evidence.assignments, **target.assignments})
-    p_both, p_e = _prob(factors, order, both, evidence, width=width)
+    p_both, p_e = _prob(factors, buckets, both, evidence, width=width)
     if mode == "joint":
         return InferenceResult(p_both, p_e, "ve")
     if p_e <= 0.0:
@@ -172,7 +269,7 @@ def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, order: EliminationO
     return InferenceResult(p_both / p_e, p_e, "ve")
 
 
-def _prob(factors: list[Factor], order: EliminationOrder, *es: Evidence, width: int) -> list[float]:
+def _prob(factors: list[Factor], buckets: _Buckets, *es: Evidence, width: int) -> list[float]:
     """Pr(e) for each e in es, eliminated in lockstep. A factor on whose
     scope e agrees with the first evidence is reduced once for both."""
     first = [reduce_factor(f, es[0]) for f in factors]
@@ -182,7 +279,7 @@ def _prob(factors: list[Factor], order: EliminationOrder, *es: Evidence, width: 
         differ = {v for v in a.keys() | b.keys() if a.get(v) != b.get(v)}
         pools.append([g if differ.isdisjoint(f.scope) else reduce_factor(f, e) for f, g in zip(factors, first)])
     out = []
-    for value, peak in _eliminate_all(pools, order.sequence):
+    for value, peak in _eliminate_all(pools, buckets):
         if peak > width + 1:
             raise InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
         out.append(value)
@@ -323,10 +420,13 @@ class _Layout:
     """The query-independent part of counterfactual queries on one world
     layout (world count, shared roots) of an Scm: the unmutilated world
     network and its factors, the `Structures` of the base minfill order,
-    the lifted order and, in the twin case, one schedule per jointree
-    engine, which keeps the messages that no query input reaches.
-    Each part is built when an engine first reads it. It holds no
-    reference to the Scm that owns it."""
+    the lifted order and, in the twin case, the bucket tree of that order
+    and one schedule per jointree engine. These keep the bucket results
+    and the messages that no query input reaches. An N-world query builds
+    its own bucket tree and jointree, which keep nothing: an Scm often
+    answers a single N-world query, and whatever its layout kept would
+    stay alive with the Scm. Each part is built when an engine first
+    reads it. It holds no reference to the Scm that owns it."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
         self.dag = scm.dag
@@ -361,6 +461,11 @@ class _Layout:
         if self.twin:
             return twin_order(self.structures.order, self.dag)
         return n_world_order(self.structures.order, self.dag, self.shared_roots, self.world_count)
+
+    @cached_property
+    def buckets(self) -> _Buckets:
+        """The twin bucket tree, which keeps its clean results."""
+        return _Buckets(self.net.dag, self.order.sequence, self.factors, keep=True)
 
     def schedule(self, engine: str) -> _Schedule:
         """The engine's twin jointree with Thm-2 or Thm-3 separators, built
@@ -414,22 +519,28 @@ def build_query_network(scm: Scm, q: CounterfactualQuery):
 def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> InferenceResult:
     """Evaluate a counterfactual query on the mutilated N-world network.
 
-    Engines: "ve" uses a lifted base minfill order; "jointree" and
-    "jointree-thinned" lift the base jointree through the twin jointree
-    construction when N=2 with all roots shared, and otherwise build a
-    jointree from the lifted order; "oracle" enumerates exogenous states.
-    What does not depend on the query (world network, orders, twin
-    jointrees, separators, the twin messages no query input reaches) is
-    compiled once per Scm and world layout. A query cuts the intervened
-    families, maps its evidence and propagates; only the N-world jointree
-    engines build a mutilated network, for their jointree."""
+    Engines: "ve" eliminates along the bucket tree of a lifted base
+    minfill order; "jointree" and "jointree-thinned" lift the base
+    jointree through the twin jointree construction when N=2 with all
+    roots shared, and otherwise build a jointree from the lifted order;
+    "oracle" enumerates exogenous states. What does not depend on the
+    query (world network, orders, and on twin layouts the bucket tree,
+    jointrees, separators, and the bucket results and messages that no
+    query input reaches) is compiled once per Scm and world layout. A
+    query cuts the intervened families, maps its evidence and eliminates
+    or propagates; only the N-world jointree engines build a mutilated
+    network, for their jointree."""
     if engine == "oracle":
         return brute_force_counterfactual(scm, q)
     layout, do, obs, tgt = _query_network(scm, q)
     masses = _point_masses(layout.net, do)
     factors = layout.query_factors(masses)
     if engine == "ve":
-        res = _ve(layout.net, factors, obs, layout.order, tgt, q.mode, masses)
+        if layout.twin:
+            buckets = layout.buckets
+        else:
+            buckets = _Buckets(layout.net.dag, layout.order.sequence, layout.factors)
+        res = _ve(layout.net, factors, obs, buckets, tgt, q.mode, masses)
         tag = "ve-twin" if layout.twin else "ve-nworld"
         return InferenceResult(res.value, res.evidence_probability, tag)
     if engine not in ("jointree", "jointree-thinned"):

@@ -6,7 +6,7 @@ conversion, and the direct twin separator lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .elimination import EliminationOrder, _bits, _family_adjacency, _replay
@@ -250,9 +250,11 @@ def jointree_from_order(dag: Dag, order: EliminationOrder) -> Jointree:
 
 def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     """Convert a base jointree into a twin jointree by duplicating the
-    maximal subtrees whose leaves host only internal families. The twin
-    families are the base ones, then each internal X' with its family
-    primed, so the twin index extends the base index."""
+    maximal subtrees whose leaves host only internal families, rooted at
+    nodes[0], or at its neighbour when nodes[0] is a host leaf. The twin
+    lists the base nodes in their order. The twin families are the base
+    ones, then each internal X' with its family primed, so the twin index
+    extends the base index."""
     roots = set(base.roots())
     var_dup = {v: (v if v in roots else twin_name(v)) for v in base.nodes}
     if jt.families.keys() != var_dup.keys():
@@ -266,8 +268,12 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
-    order, _ = jt.rooting
-    children = jt.children
+    rooted = jt
+    if len(nodes) > 2 and nodes[0] in lf:  # Alg 1 roots at an internal node, nodes[0]'s neighbour
+        inner = jt.neighbors()[nodes[0]][0]
+        rooted = replace(jt, nodes=(inner, *(v for v in nodes if v != inner)))
+    order, _ = rooted.rooting
+    children = rooted.children
     kinds: dict[str, set[bool]] = {}  # v -> {whether a host leaf at or below v hosts a root}
     for v in reversed(order):
         kinds[v] = {lf[v] in roots} if v in lf else set()

@@ -349,3 +349,38 @@ def test_cli_invariant_error_exit_two(tmp_path, capsys, monkeypatch):
     rc = main(["jointree", "--net", str(path)])
     assert rc == 2
     assert capsys.readouterr().err == "invariant violated: separator check failed\n"
+
+
+def _array_memory_error():
+    """The MemoryError subclass numpy raises when an array cannot be allocated."""
+    import numpy as np
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((2,) * 28, np.dtype(np.float64))
+
+
+@pytest.mark.parametrize("error, line", [
+    pytest.param(MemoryError, "error: out of memory", id="bare"),
+    pytest.param(_array_memory_error, "error: out of memory: Unable to allocate 2.00 GiB for an array with shape "
+                 f"({', '.join(['2'] * 28)}) and data type float64", id="numpy"),
+])
+def test_cli_memory_error_exit_one(tmp_path, capsys, monkeypatch, error, line):
+    import ctwin.inference
+
+    def oversized(a, b):
+        raise error()
+
+    # a factor too large for the process: one error line, no traceback
+    monkeypatch.setattr(ctwin.inference, "multiply", oversized)
+    net = tmp_path / "net.json"
+    assert main(["gen", "--n", "6", "--param", "2", "--seed", "3", "--out", str(net)]) == 0
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(VALID_QUERY))
+    capsys.readouterr()
+    rc = main(["infer", "--net", str(net), "--query", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]

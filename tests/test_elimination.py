@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctwin import (Dag, EliminationOrder, Evidence, ModelError, Rng, eliminate, exact_treewidth, minfill_order,
-                   moral_graph, mutilate, n_world_order, parameterize, twin_order)
+                   moral_graph, mutilate, n_world_order, parameterize, scm_factors, twin_order)
 from ctwin.bench import generate_dag
 from ctwin.elimination import _bit_adjacency, _bits, _family_adjacency, _replay
+from ctwin.inference import _Buckets
 from ctwin.randgen import GENERATORS
 from ctwin.worlds import MoralGraph, n_world_network, twin_dag, twin_network
 
@@ -212,6 +213,11 @@ def test_minfill_matches_full_rescan_at_benchmark_sizes(gen, n, param):
 
 # ------------------------------------------- replay on the lifted, cut network
 
+def _cut_parents(parents, cut):
+    """The parents of the network in which every node in cut is intervened on."""
+    return {v: () if v in cut else ps for v, ps in parents.items()}
+
+
 def reference_clusters(g, sequence):
     """Eliminate with plain sets: each node's cluster is itself and its
     neighbours when it goes, which are then made pairwise adjacent."""
@@ -246,7 +252,35 @@ def test_replay_matches_eliminate_on_the_mutilated_network(gen, n, param, seed, 
     g = moral_graph(mutilate(net, Evidence(dict.fromkeys(cut, 0))).dag)
     want = eliminate(g, order)
     seq = order.sequence
-    rest = _replay(_family_adjacency(seq, net.dag.parents, cut))
+    rest = _replay(_family_adjacency(seq, _cut_parents(net.dag.parents, cut)))
     assert tuple(frozenset([v] + [seq[j] for j in _bits(nb)]) for v, nb in zip(seq, rest)) == want.clusters
     assert want.clusters == reference_clusters(g, seq)
     assert max(nb.bit_count() for nb in rest) == want.width
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(2, 12), st.integers(1, 3),
+       st.integers(0, 10**6), st.integers(1, 3), st.data())
+def test_bucket_tree_width_matches_the_replay_on_the_cut_network(gen, n, param, seed, worlds, data):
+    # ve's bucket tree is built once from the uncut network; for a cut set it
+    # redoes only the cut families' base buckets and their ancestors, and
+    # must give the width that the replay and eliminate give on the mutilated
+    # twin or N-world network
+    scm = parameterize(GENERATORS[gen](n, param, Rng(seed)), Rng(seed + 1))
+    base = minfill_order(moral_graph(scm.dag))
+    if worlds == 2 and data.draw(st.booleans()):
+        net, _ = twin_network(scm)
+        order = twin_order(base, scm.dag)
+    else:
+        shared = [r for r in scm.dag.roots() if data.draw(st.booleans())]
+        net, _ = n_world_network(scm, shared, worlds)
+        order = n_world_order(base, scm.dag, shared, worlds)
+    roots = set(net.dag.roots())
+    pool = data.draw(st.sampled_from(("roots", "internals", "any")))
+    nodes = [v for v in net.dag.nodes if pool == "any" or (v in roots) == (pool == "roots")]
+    cut = data.draw(st.sets(st.sampled_from(nodes))) if nodes else set()
+    tree = _Buckets(net.dag, order.sequence, scm_factors(net))
+    rest = _replay(_family_adjacency(order.sequence, _cut_parents(net.dag.parents, cut)))
+    want = eliminate(moral_graph(mutilate(net, Evidence(dict.fromkeys(cut, 0))).dag), order).width
+    assert tree.width(cut) == max(map(int.bit_count, rest)) == want
+    assert tree.width() == max(map(int.bit_count, tree.out))

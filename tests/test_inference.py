@@ -24,6 +24,7 @@ from ctwin import (
     ve_query,
 )
 
+from ctwin.elimination import _family_adjacency, _replay
 from ctwin.model import network_from_dict, network_to_dict
 from conftest import random_scm
 
@@ -290,7 +291,8 @@ print("optimize", sys.flags.optimize)
 scm = gen_rscm(6, 2, Rng(3))
 order = minfill_order(moral_graph(scm.dag))
 try:
-    inf._prob(scm_factors(scm), order, Evidence({}), width=0)
+    factors = scm_factors(scm)
+    inf._prob(factors, inf._Buckets(scm.dag, order.sequence, factors), Evidence({}), width=0)
 except InvariantError as e:
     print("ve:", e)
 inf.sum_out = lambda f, x: f  # messages keep every variable
@@ -498,10 +500,14 @@ def _reference_eliminate_all(factors, order):
     return out, peak
 
 
-def _reference_ve(scm, factors, evidence, order, target, mode, cut=()):
+def _reference_ve(scm, factors, evidence, buckets, target, mode, cut=()):
+    """Two full passes in the order of the bucket tree; its stored results
+    and its width are not read."""
     import ctwin.inference as inf
-    from ctwin import mutilate
+    from ctwin import EliminationOrder, mutilate
     from ctwin.elimination import eliminate
+
+    order = EliminationOrder(buckets.sequence)
 
     inf._check_states(scm, evidence)
     inf._check_states(scm, target)
@@ -823,10 +829,38 @@ def test_repeated_twin_query_recomputes_only_touched_nodes(monkeypatch):
     _, wmap, obs, tgt = build_query_network(scm, q)
     inputs = obs.assignments.keys() | tgt.assignments.keys()
     cut = {wmap.lookup(v, w) for w, ev in enumerate(q.interventions, start=1) for v in ev.assignments}
-    assert count("ve") == count("ve")
+    layout = scm._compiled[(2, q.shared_roots)]
+    parents = layout.net.dag.parents
+    # ve: a bucket is touched when it is the base bucket (that of the earliest
+    # variable) of a family that mentions an input or is cut, or an ancestor
+    # of one in the bucket tree, where a bucket's parent is the earliest
+    # member of its cluster left when its variable goes
+    seq = layout.order.sequence
+    pos = {v: i for i, v in enumerate(seq)}
+    rest = _replay(_family_adjacency(seq, parents))
+    touched_buckets = set()
+    for v in layout.net.dag.nodes:
+        if v in cut or not inputs.isdisjoint((v,) + parents[v]):
+            i = min(pos[x] for x in (v,) + parents[v])
+            while i >= 0 and i not in touched_buckets:
+                touched_buckets.add(i)
+                i = (rest[i] & -rest[i]).bit_length() - 1
+    # each bucket's operands, on the scopes the query's factors have
+    pool = [frozenset((v,) if v in cut else (v,) + parents[v]) - inputs for v in layout.net.dag.nodes]
+    every = touched = 0
+    for i, x in enumerate(seq):
+        bucket = [scope for scope in pool if x in scope]
+        pool = [scope for scope in pool if x not in scope]
+        if bucket:
+            every += len(bucket) - 1
+            touched += len(bucket) - 1 if i in touched_buckets else 0
+            pool.append(frozenset().union(*bucket) - {x})
+    first, second = count("ve"), count("ve")
+    assert first == every
+    assert second == touched
+    assert second < first, (first, second)
     for engine in ("jointree", "jointree-thinned"):
         first, second = count(engine), count(engine)
-        layout = scm._compiled[(2, q.shared_roots)]
         sched = layout.schedules[engine]
         parents = layout.net.dag.parents
         touched = {leaf for child, leaves in sched.hosts.items() for leaf in leaves
@@ -838,3 +872,33 @@ def test_repeated_twin_query_recomputes_only_touched_nodes(monkeypatch):
         assert second == sum(len(children) - 1 for v, _, children, _ in sched.steps
                              if children and v in touched), engine
         assert second < first, (engine, first, second)
+
+
+def test_nworld_queries_store_no_bucket_result(monkeypatch):
+    # the twin layout keeps its bucket tree and its clean results; an
+    # N-world query, whether its roots are shared in part or its worlds
+    # number three, builds a tree that stores nothing, and its layout keeps none
+    import ctwin.inference as inf
+
+    trees = []
+
+    class Recorded(inf._Buckets):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trees.append(self)
+
+    monkeypatch.setattr(inf, "_Buckets", Recorded)
+    scm = random_scm(5, n=8, param=2)
+    twin = _twin_query(scm)
+    roots = scm.dag.roots()
+    part = CounterfactualQuery(2, frozenset(roots[1:]), twin.observations, twin.interventions,
+                               twin.target, twin.mode)
+    three = CounterfactualQuery(3, twin.shared_roots, twin.observations + (Evidence({}),),
+                                twin.interventions + (Evidence({}),), twin.target, twin.mode)
+    for q in (twin, part, three, twin, part, three):
+        counterfactual(scm, q, "ve")
+    layout = scm._compiled[(2, twin.shared_roots)]
+    assert trees[0] is layout.buckets and layout.buckets.results
+    assert len(trees) == 5 and all(t.results == {} for t in trees[1:])
+    for q in (part, three):
+        assert "buckets" not in vars(scm._compiled[(q.world_count, q.shared_roots)])

@@ -94,6 +94,28 @@ def test_two_node_tree_is_named_as_unsupported():
     assert replicate(jt, dag, 1) == jt  # nothing to place: B has no children
 
 
+@pytest.mark.parametrize("first", ["f_A", "c"])
+def test_twin_jointree_of_a_tree_listed_from_a_host_leaf(first):
+    # the star f_A - c - {f_B, f_C} with B and C children of A: Alg 1 roots
+    # at an internal node, so the listing only orders the twin's nodes
+    dag = Dag.of(["A", "B", "C"], {"B": ("A",), "C": ("A",)})
+    edges = (("c", "f_A"), ("c", "f_B"), ("c", "f_C"))
+    hosts = {"A": ("f_A",), "B": ("f_B",), "C": ("f_C",)}
+    families = {"A": frozenset("A"), "B": frozenset("AB"), "C": frozenset("AC")}
+    nodes = (first,) + tuple(v for v in ("f_A", "c", "f_B", "f_C") if v != first)
+    tjt = make_twin_jointree(Jointree(nodes, edges, hosts, families), dag)
+    assert tjt.nodes == nodes + ("f_B'", "f_C'")
+    assert set(tjt.edges) == set(edges) | {("c", "f_B'"), ("c", "f_C'")}
+    assert tjt.hosts == {**hosts, "B'": ("f_B'",), "C'": ("f_C'",)}
+    assert tjt.edge_class == {("c", "f_A"): "invariant", ("c", "f_B"): "duplicated", ("c", "f_C"): "duplicated",
+                              ("c", "f_B'"): "duplicate", ("c", "f_C'"): "duplicate"}
+    assert tjt.duplicate_base == {("c", "f_B'"): ("c", "f_B"), ("c", "f_C'"): ("c", "f_C")}
+    seps = twin_separators_direct(classical_separators(Jointree(nodes, edges, hosts, families)), tjt)
+    assert seps.separators == {("c", "f_A"): frozenset("A"), ("c", "f_B"): frozenset("A"),
+                               ("c", "f_C"): frozenset("A"), ("c", "f_B'"): frozenset("A"),
+                               ("c", "f_C'"): frozenset("A")}
+
+
 def test_classical_separators_definition(adder):
     jt = base_jointree(adder)
     sa = classical_separators(jt)
