@@ -118,12 +118,12 @@ class _Buckets:
     member of out[i] is an ancestor of i. So a factor whose scope only
     shrinks (reduced, or cut to a point mass) lands on an ancestor of its
     base bucket, and a bucket with no such factor at or below it computes
-    from the same operands, in the same order, on every query. When keep
-    is set, results maps each such clean bucket to its product's size and
-    its result, for every later query over these factors."""
+    from the same operands, in the same order, on every query. results
+    maps each such clean bucket to its product's size and its result, for
+    every later query on the tree."""
 
-    def __init__(self, dag: Dag, sequence: tuple[str, ...], factors: list[Factor], keep: bool = False):
-        self.sequence, self.factors, self.keep = sequence, factors, keep
+    def __init__(self, dag: Dag, sequence: tuple[str, ...], factors: list[Factor], method: str = "ve"):
+        self.sequence, self.factors, self.method = sequence, factors, method
         self.pos = pos = {v: i for i, v in enumerate(sequence)}
         self.out = _replay(_family_adjacency(sequence, dag.parents))
         n = len(sequence)
@@ -178,6 +178,26 @@ class _Buckets:
                 acc[_low(o)] |= o
         return width
 
+    def prob(self, factors: list[Factor], es: list[Evidence], cut=()) -> list[float]:
+        """Pr(e) for each e in es, eliminated in lockstep over the given
+        factors, in which the family of each variable in cut is a point
+        mass. A factor on whose scope e agrees with the first evidence is
+        reduced once for both. No factor may outgrow the cut order's
+        width + 1 (the complexity contract made checkable)."""
+        first = [reduce_factor(f, es[0]) for f in factors]
+        pools = [first]
+        for e in es[1:]:
+            a, b = es[0].assignments, e.assignments
+            differ = {v for v in a.keys() | b.keys() if a.get(v) != b.get(v)}
+            pools.append([g if differ.isdisjoint(f.scope) else reduce_factor(f, e) for f, g in zip(factors, first)])
+        width = self.width(cut)
+        out = []
+        for value, peak in _eliminate_all(pools, self):
+            if peak > width + 1:
+                raise InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
+            out.append(value)
+        return out
+
 
 def _eliminate_all(pools: list[list[Factor]], buckets: _Buckets) -> list[tuple[float, int]]:
     """Sum out every variable in the buckets' order from each pool, one
@@ -190,10 +210,9 @@ def _eliminate_all(pools: list[list[Factor]], buckets: _Buckets) -> list[tuple[f
     bucket holds, in pool order, exactly the factors that mention it. A
     bucket that is neither the base bucket of such another factor nor an
     ancestor of one is clean: it takes its stored result when there is
-    one, and stores the one it computes when the tree keeps results.
-    Where a pool's bucket holds the same objects as the previous pool's,
-    their product and sum are computed once and the one result goes to
-    both pools."""
+    one, and otherwise stores the one it computes. Where a pool's bucket
+    holds the same objects as the previous pool's, their product and sum
+    are computed once and the one result goes to both pools."""
     pos, parent, results = buckets.pos, buckets.parent, buckets.results
     end = len(buckets.sequence)
     lists, dirty = [], []
@@ -224,7 +243,7 @@ def _eliminate_all(pools: list[list[Factor]], buckets: _Buckets) -> list[tuple[f
                         f = multiply(f, g)
                     made = len(f.scope), sum_out(f, v)
                 size, out = made
-                if clean and buckets.keep:
+                if clean:
                     results[i] = made
             peaks[k] = max(peaks[k], size)
             bucket[parent[i] if clean else min((pos[x] for x in out.scope), default=end)].append(out)
@@ -244,46 +263,7 @@ def ve_query(
     The largest intermediate factor is checked to stay within the
     order's width + 1 (the complexity contract made checkable)."""
     factors = scm_factors(scm)
-    return _ve(scm, factors, evidence, _Buckets(scm.dag, order.sequence, factors), target, mode)
-
-
-def _ve(scm: Scm, factors: list[Factor], evidence: Evidence, buckets: _Buckets,
-        target: Evidence, mode: str, cut=()) -> InferenceResult:
-    """ve_query over the given factors of scm, in network node order, in
-    which the family of each variable in cut is a point mass, on the
-    bucket tree of scm's compiled factors."""
-    _check_states(scm, evidence)
-    _check_states(scm, target)
-    width = buckets.width(cut)
-
-    for v, s in target.items():
-        if evidence.assignments.get(v, s) != s:
-            return InferenceResult(0.0, _prob(factors, buckets, evidence, width=width)[0], "ve")
-
-    both = Evidence({**evidence.assignments, **target.assignments})
-    p_both, p_e = _prob(factors, buckets, both, evidence, width=width)
-    if mode == "joint":
-        return InferenceResult(p_both, p_e, "ve")
-    if p_e <= 0.0:
-        raise ZeroEvidenceError("evidence has probability zero")
-    return InferenceResult(p_both / p_e, p_e, "ve")
-
-
-def _prob(factors: list[Factor], buckets: _Buckets, *es: Evidence, width: int) -> list[float]:
-    """Pr(e) for each e in es, eliminated in lockstep. A factor on whose
-    scope e agrees with the first evidence is reduced once for both."""
-    first = [reduce_factor(f, es[0]) for f in factors]
-    pools = [first]
-    for e in es[1:]:
-        a, b = es[0].assignments, e.assignments
-        differ = {v for v in a.keys() | b.keys() if a.get(v) != b.get(v)}
-        pools.append([g if differ.isdisjoint(f.scope) else reduce_factor(f, e) for f, g in zip(factors, first)])
-    out = []
-    for value, peak in _eliminate_all(pools, buckets):
-        if peak > width + 1:
-            raise InvariantError(f"peak scope {peak} exceeds width bound {width + 1}")
-        out.append(value)
-    return out
+    return _answer(_Buckets(scm.dag, order.sequence, factors), scm, factors, evidence, target, mode)
 
 
 # ---------------------------------------------------------------- jointree
@@ -317,6 +297,66 @@ class _Schedule:
     method: str
     messages: dict[str, tuple[Factor | None, Factor]] = field(default_factory=dict, compare=False, repr=False)
 
+    def prob(self, factors: list[Factor], es: list[Evidence], cut=()) -> list[float]:
+        """Pr(e) for each e in es by messages towards the root from the
+        leaves' factors reduced by e, over the given factors, in which the
+        family of each variable in cut is a point mass.
+
+        A node is touched when it is a leaf whose family mentions a
+        variable some e fixes or is cut, or when it has a touched child.
+        An untouched node's message depends only on the factors and the
+        schedule, so the schedule keeps it for every later query. After
+        the first pass only the nodes whose leaves mention a variable on
+        which e and the first evidence differ, and their ancestors,
+        compute theirs; such a message is dropped once its parent has
+        used it."""
+        by_child = {f.scope[-1]: f for f in factors}
+        for child in self.hosts:
+            if child not in by_child:
+                raise ModelError(f"no factor for hosted family {child!r}")
+        leaf_factor = _leaf_factors(self.hosts, by_child)
+        a = es[0].assignments
+        differ = {v for e in es[1:] for v in a.keys() | e.assignments.keys() if a.get(v) != e.assignments.get(v)}
+        inputs = set().union(*(e.assignments for e in es))
+        changed = {leaf for leaf, f in leaf_factor.items() if not differ.isdisjoint(f.scope)}
+        touched = {leaf for leaf, f in leaf_factor.items() if not inputs.isdisjoint(f.scope)}
+        touched.update(leaf for v in cut for leaf in self.hosts[v])
+        for v, _, children, _ in self.steps:
+            if not changed.isdisjoint(children):
+                changed.add(v)
+            if not touched.isdisjoint(children):
+                touched.add(v)
+        msg: dict[str, Factor] = {}
+
+        def collect(e: Evidence, redo: set[str] | None) -> float:
+            for v, p, children, sep in self.steps:
+                if redo is not None and v not in redo:
+                    continue
+                keep = v not in touched
+                if keep and v in self.messages:
+                    source, msg[v] = self.messages[v]
+                    if source is not leaf_factor.get(v):
+                        raise InvariantError(f"the stored message of {v} came from another factor")
+                    continue
+                f = reduce_factor(leaf_factor[v], e) if v in leaf_factor else None
+                for u in children:
+                    m = msg.pop(u) if u in changed else msg[u]
+                    f = m if f is None else multiply(f, m)
+                if f is None:
+                    f = Factor.unit()
+                for x in f.scope:
+                    if x not in sep or x in e.assignments:
+                        f = sum_out(f, x)
+                if not set(f.scope) <= sep:
+                    raise InvariantError(f"message {v}->{p} scope {sorted(f.scope)} "
+                                         f"exceeds its separator {sorted(sep)}")
+                msg[v] = f
+                if keep:
+                    self.messages[v] = leaf_factor.get(v), f
+            return factor_value(msg[self.steps[-1][0]])
+
+        return [collect(e, changed if k else None) for k, e in enumerate(es)]
+
 
 def _schedule(seps: SeparatorAssignment, method: str) -> _Schedule:
     jt = seps.jointree
@@ -335,98 +375,40 @@ def jointree_propagate(
 ) -> InferenceResult:
     """Message passing over classical separators. Targets are asserted as
     additional evidence so any leaf can produce the joint."""
-    return _propagate(_schedule(classical_separators(jt), "jointree"), scm, scm_factors(scm),
-                      evidence, target, mode)
-
-
-def _propagate(sched: _Schedule, scm: Scm, factors: list[Factor], evidence: Evidence,
-               target: Evidence, mode: str, cut=()) -> InferenceResult:
-    """jointree_propagate over a rooted jointree and the given factors of
-    scm, in which the family of each variable in cut is a point mass.
-
-    A node is touched when it is a leaf whose family mentions an observed
-    or target variable or is cut, or when it has a touched child. An
-    untouched node's message depends only on the factors and the schedule,
-    so the schedule keeps it for every later query."""
-    _check_states(scm, evidence)
-    _check_states(scm, target)
-    by_child = {f.scope[-1]: f for f in factors}
-    for child in sched.hosts:
-        if child not in by_child:
-            raise ModelError(f"no factor for hosted family {child!r}")
-    leaf_factor = _leaf_factors(sched.hosts, by_child)
-    msg: dict[str, Factor] = {}
-    # The P(t,e) and P(e) passes differ only at leaves whose family mentions
-    # a free target (one the evidence does not also fix), and on the paths
-    # from those leaves to the root.
-    free = target.assignments.keys() - evidence.assignments.keys()
-    changed = {leaf for leaf, f in leaf_factor.items() if not free.isdisjoint(f.scope)}
-    inputs = evidence.assignments.keys() | target.assignments.keys()
-    touched = {leaf for leaf, f in leaf_factor.items() if not inputs.isdisjoint(f.scope)}
-    touched.update(leaf for v in cut for leaf in sched.hosts[v])
-    for v, _, children, _ in sched.steps:
-        if not changed.isdisjoint(children):
-            changed.add(v)
-        if not touched.isdisjoint(children):
-            touched.add(v)
-
-    def collect(e: Evidence, redo: set[str] | None = None) -> float:
-        """Pr(e) by messages towards the root from the leaves' factors
-        reduced by e. Only the nodes in redo (all when None) compute theirs;
-        the others keep the previous pass's. A message in changed is
-        dropped once its parent has used it."""
-        for v, p, children, sep in sched.steps:
-            if redo is not None and v not in redo:
-                continue
-            keep = v not in touched
-            if keep and v in sched.messages:
-                source, msg[v] = sched.messages[v]
-                if source is not leaf_factor.get(v):
-                    raise InvariantError(f"the stored message of {v} came from another factor")
-                continue
-            f = reduce_factor(leaf_factor[v], e) if v in leaf_factor else None
-            for u in children:
-                m = msg.pop(u) if u in changed else msg[u]
-                f = m if f is None else multiply(f, m)
-            if f is None:
-                f = Factor.unit()
-            for x in f.scope:
-                if x not in sep or x in e.assignments:
-                    f = sum_out(f, x)
-            if not set(f.scope) <= sep:
-                raise InvariantError(f"message {v}->{p} scope {sorted(f.scope)} "
-                                     f"exceeds its separator {sorted(sep)}")
-            msg[v] = f
-            if keep:
-                sched.messages[v] = leaf_factor.get(v), f
-        return factor_value(msg[sched.steps[-1][0]])
-
-    method = sched.method
-    for v, s in target.items():
-        if evidence.assignments.get(v, s) != s:
-            return InferenceResult(0.0, collect(evidence), method)
-    p_both = collect(Evidence({**evidence.assignments, **target.assignments}))
-    p_e = collect(evidence, changed)
-    if mode == "joint":
-        return InferenceResult(p_both, p_e, method)
-    if p_e <= 0.0:
-        raise ZeroEvidenceError("evidence has probability zero")
-    return InferenceResult(p_both / p_e, p_e, method)
+    return _answer(_schedule(classical_separators(jt), "jointree"), scm, scm_factors(scm),
+                   evidence, target, mode)
 
 
 # ---------------------------------------------------------------- queries
+
+def _answer(plan: _Buckets | _Schedule, net: Scm, factors: list[Factor], evidence: Evidence,
+            target: Evidence, mode: str, cut=()) -> InferenceResult:
+    """Pr(target | evidence), or Pr(target, evidence) when mode is
+    "joint", and Pr(evidence), on a bucket tree or a jointree schedule
+    over the given factors of net, in network node order, in which the
+    family of each variable in cut is a point mass. A target that
+    contradicts the evidence costs only the Pr(evidence) pass."""
+    _check_states(net, evidence)
+    _check_states(net, target)
+    for v, s in target.items():
+        if evidence.assignments.get(v, s) != s:
+            return InferenceResult(0.0, plan.prob(factors, [evidence], cut)[0], plan.method)
+    both = Evidence({**evidence.assignments, **target.assignments})
+    p_both, p_e = plan.prob(factors, [both, evidence], cut)
+    if mode == "joint":
+        return InferenceResult(p_both, p_e, plan.method)
+    if p_e <= 0.0:
+        raise ZeroEvidenceError("evidence has probability zero")
+    return InferenceResult(p_both / p_e, p_e, plan.method)
+
 
 class _Layout:
     """The query-independent part of counterfactual queries on one world
     layout (world count, shared roots) of an Scm: the unmutilated world
     network and its factors, the `Structures` of the base minfill order,
-    the lifted order and, in the twin case, the bucket tree of that order
-    and one schedule per jointree engine. These keep the bucket results
-    and the messages that no query input reaches. An N-world query builds
-    its own bucket tree and jointree, which keep nothing: an Scm often
-    answers a single N-world query, and whatever its layout kept would
-    stay alive with the Scm. Each part is built when an engine first
-    reads it. It holds no reference to the Scm that owns it."""
+    the lifted order and, in the twin case, the plan of each engine. Each
+    part is built when first read. It holds no reference to the Scm that
+    owns it."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
         self.dag = scm.dag
@@ -437,7 +419,7 @@ class _Layout:
             self.net, self.wmap = twin_network(scm)
         else:
             self.net, self.wmap = n_world_network(scm, shared_roots, world_count)
-        self.schedules: dict[str, _Schedule] = {}  # engine -> its twin schedule
+        self.plans: dict[str, _Buckets | _Schedule] = {}  # engine -> its twin plan
 
     @cached_property
     def factors(self) -> list[Factor]:
@@ -462,22 +444,40 @@ class _Layout:
             return twin_order(self.structures.order, self.dag)
         return n_world_order(self.structures.order, self.dag, self.shared_roots, self.world_count)
 
-    @cached_property
-    def buckets(self) -> _Buckets:
-        """The twin bucket tree, which keeps its clean results."""
-        return _Buckets(self.net.dag, self.order.sequence, self.factors, keep=True)
+    def plan(self, engine: str, cut) -> _Buckets | _Schedule:
+        """What the engine runs a query on whose interventions cut the
+        families of the variables in cut: for "ve" the bucket tree of the
+        lifted order; for "jointree" and "jointree-thinned" the Alg-1 twin
+        jointree with Thm-2 or Thm-3 separators on a twin layout, and
+        otherwise the jointree of the lifted order on the cut network with
+        classical or thinned separators.
 
-    def schedule(self, engine: str) -> _Schedule:
-        """The engine's twin jointree with Thm-2 or Thm-3 separators, built
-        once: it stays valid after mutilation, since families only shrink.
-        Of the parts it is built from, only the base jointree is kept."""
-        s = self.structures
-        if engine not in self.schedules:
-            seps = s.twin_separators if engine == "jointree" else s.thinned_twin
-            self.schedules[engine] = _schedule(seps, engine)
+        A twin plan stays valid after mutilation, since families only
+        shrink, so it is built once and kept, with the bucket results or
+        messages that no query input reaches; of the parts it is built
+        from, only the base jointree is kept. An N-world plan lives only
+        as long as its query: an Scm often answers a single N-world query,
+        and whatever its layout kept would stay alive with the Scm."""
+        if engine in self.plans:
+            return self.plans[engine]
+        thinned = engine == "jointree-thinned"
+        if engine == "ve":
+            plan = _Buckets(self.net.dag, self.order.sequence, self.factors,
+                            "ve-twin" if self.twin else "ve-nworld")
+        elif engine not in ("jointree", "jointree-thinned"):
+            raise ModelError(f"unknown engine {engine!r}")
+        elif self.twin:
+            s = self.structures
+            plan = _schedule(s.thinned_twin if thinned else s.twin_separators, engine)
+        else:
+            dag = self.net.dag
+            s = Structures(Dag(dag.nodes, {**dag.parents, **dict.fromkeys(cut, ())}), self.order)
+            plan = _schedule(s.thinned if thinned else s.separators, engine)
+        if self.twin:
+            self.plans[engine] = plan
             for part in ("separators", "twin_separators", "thinned", "thinned_twin"):
-                vars(s).pop(part, None)
-        return self.schedules[engine]
+                vars(self.structures).pop(part, None)
+        return plan
 
 
 def _query_network(scm: Scm, q: CounterfactualQuery):
@@ -524,33 +524,15 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
     jointree through the twin jointree construction when N=2 with all
     roots shared, and otherwise build a jointree from the lifted order;
     "oracle" enumerates exogenous states. What does not depend on the
-    query (world network, orders, and on twin layouts the bucket tree,
-    jointrees, separators, and the bucket results and messages that no
-    query input reaches) is compiled once per Scm and world layout. A
-    query cuts the intervened families, maps its evidence and eliminates
-    or propagates; only the N-world jointree engines build a mutilated
-    network, for their jointree."""
+    query (world network, orders, and on twin layouts each engine's plan
+    with the bucket results and messages that no query input reaches) is
+    compiled once per Scm and world layout. A query cuts the intervened
+    families, maps its evidence and answers on its engine's plan."""
     if engine == "oracle":
         return brute_force_counterfactual(scm, q)
     layout, do, obs, tgt = _query_network(scm, q)
     masses = _point_masses(layout.net, do)
-    factors = layout.query_factors(masses)
-    if engine == "ve":
-        if layout.twin:
-            buckets = layout.buckets
-        else:
-            buckets = _Buckets(layout.net.dag, layout.order.sequence, layout.factors)
-        res = _ve(layout.net, factors, obs, buckets, tgt, q.mode, masses)
-        tag = "ve-twin" if layout.twin else "ve-nworld"
-        return InferenceResult(res.value, res.evidence_probability, tag)
-    if engine not in ("jointree", "jointree-thinned"):
-        raise ModelError(f"unknown engine {engine!r}")
-    if layout.twin:
-        sched = layout.schedule(engine)
-    else:
-        s = Structures(mutilate(layout.net, do).dag, layout.order)
-        sched = _schedule(s.separators if engine == "jointree" else s.thinned, engine)
-    return _propagate(sched, layout.net, factors, obs, tgt, q.mode, masses)
+    return _answer(layout.plan(engine, masses), layout.net, layout.query_factors(masses), obs, tgt, q.mode, masses)
 
 
 # ---------------------------------------------------------------- oracles

@@ -24,9 +24,10 @@ class Jointree:
     one family; a family may be hosted at several leaves (replicas).
 
     Construction raises ModelError on any violated invariant, and derives
-    once the neighbour lists, the leaf -> family map, `rooting`, the
-    breadth-first order and parents from nodes[0], `children`, each
-    node's children in neighbour order, and the variable index: bit i of
+    once the neighbour lists `neighbors`, `leaf_family`, which maps each
+    host leaf to the family child it hosts, `rooting`, the breadth-first
+    order and parents from nodes[0], `children`, each node's children in
+    neighbour order, and the variable index: bit i of
     a mask is `variables[i]` (the family children in order), `bit_of` and
     `family_masks` give each variable's bit and each family's mask.
     Callers must not change them; `dataclasses.replace` derives them afresh.
@@ -46,8 +47,8 @@ class Jointree:
     duplicate_base: dict[tuple[str, str], tuple[str, str]] | None = None
     var_dup: dict[str, str] | None = None
 
-    _neighbors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
-    _leaf_family: dict[str, str] = field(init=False, repr=False, compare=False)
+    neighbors: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    leaf_family: dict[str, str] = field(init=False, repr=False, compare=False)
     rooting: tuple[list[str], dict[str, str | None]] = field(init=False, repr=False, compare=False)
     children: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -101,8 +102,8 @@ class Jointree:
                 masks[child] = sum(map(bit_of.__getitem__, members))
             except KeyError as exc:
                 raise ModelError(f"family of {child!r} mentions {exc.args[0]!r}, which has no family") from None
-        object.__setattr__(self, "_neighbors", nb)
-        object.__setattr__(self, "_leaf_family", lf)
+        object.__setattr__(self, "neighbors", nb)
+        object.__setattr__(self, "leaf_family", lf)
         object.__setattr__(self, "rooting", (order, parent))
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "variables", tuple(bit_of))
@@ -112,13 +113,6 @@ class Jointree:
     def variable_set(self, mask: int) -> frozenset[str]:
         """The variables of a mask over this tree's index."""
         return frozenset(self.variables[i] for i in _bits(mask))
-
-    def neighbors(self) -> dict[str, list[str]]:
-        return self._neighbors
-
-    def leaf_family(self) -> dict[str, str]:
-        """Map each host leaf to the single family child it hosts."""
-        return self._leaf_family
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def _assemble(jt: Jointree, separators: dict[tuple[str, str], int], log=()) -> S
     for (a, b), s in separators.items():
         clusters[a] |= s
         clusters[b] |= s
-    for leaf, child in jt.leaf_family().items():
+    for leaf, child in jt.leaf_family.items():
         clusters[leaf] = jt.family_masks[child]
     sizes = [c.bit_count() for c in clusters.values()]
     return SeparatorAssignment(jt, separators, clusters, max(sizes) - 1,
@@ -167,7 +161,7 @@ def _classical_masks(jt: Jointree) -> dict[tuple[str, str], int]:
     """classical_separators as masks: below a node is the union over its
     subtree; above it, its parent's above plus what hangs off the parent
     and the node's siblings, from prefix and suffix unions of siblings."""
-    hosted = {leaf: jt.family_masks[child] for leaf, child in jt.leaf_family().items()}
+    hosted = {leaf: jt.family_masks[child] for leaf, child in jt.leaf_family.items()}
     order, parent = jt.rooting
     children = jt.children
     below: dict[str, int] = {}
@@ -264,13 +258,13 @@ def make_twin_jointree(jt: Jointree, base: Dag) -> Jointree:
         if child not in roots:
             families[var_dup[child]] = frozenset(var_dup[v] for v in members)
 
-    lf = jt.leaf_family()
+    lf = jt.leaf_family
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
     rooted = jt
     if len(nodes) > 2 and nodes[0] in lf:  # Alg 1 roots at an internal node, nodes[0]'s neighbour
-        inner = jt.neighbors()[nodes[0]][0]
+        inner = jt.neighbors[nodes[0]][0]
         rooted = replace(jt, nodes=(inner, *(v for v in nodes if v != inner)))
     order, _ = rooted.rooting
     children = rooted.children

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -258,6 +258,8 @@ def network_from_dict(doc) -> Scm:
             table = tuple(float(x) for x in dist)
             if len(table) != cards[vid]:
                 raise ModelError(f"{vid}: dist length != number of states")
+            if not all(map(isfinite, table)):
+                raise ModelError(f"{vid}: dist has a non-finite entry, got {dist!r}")
             if any(x < 0 for x in table):
                 raise ModelError(f"{vid}: negative probability")
             if abs(sum(table) - 1.0) > 1e-12:

@@ -37,8 +37,8 @@ def replicate(jt: Jointree, dag: Dag, chain_bound: int, functional=None) -> Join
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
-    nb = {v: set(us) for v, us in jt.neighbors().items()}
-    leaf_of = dict(jt.leaf_family())
+    nb = {v: set(us) for v, us in jt.neighbors.items()}
+    leaf_of = dict(jt.leaf_family)
     host_depth = {leaf: 0 for leaf in leaf_of}
     counter = 0
 
@@ -87,7 +87,7 @@ def thin(jt: Jointree, functional) -> SeparatorAssignment:
     functional = sum(bit_of[v] for v in set(functional) if v in bit_of)
     sep = _classical_masks(jt)
     mention: dict[str, set[str]] = {}
-    for leaf, child in jt.leaf_family().items():
+    for leaf, child in jt.leaf_family.items():
         for i in _bits(jt.family_masks[child] & functional):
             mention.setdefault(names[i], set()).add(leaf)
     var_edges: dict[str, list[tuple[str, str]]] = {}

@@ -291,6 +291,8 @@ _CHILD = {"id": "B", "states": ["s0", "s1"], "parents": ["A"], "cpt": [1, 0]}
                  id="functional-str-root"),
     pytest.param({"variables": [_ROOT, dict(_CHILD, functional="false")]}, "B: 'functional' must be true or false",
                  id="functional-str-internal"),
+    pytest.param({"variables": [dict(_ROOT, dist=[float("nan"), 1.0]), _CHILD]}, "A: dist has a non-finite entry",
+                 id="dist-nan"),
 ])
 def test_cli_malformed_network_exit_one(tmp_path, capsys, net, message):
     path = tmp_path / "net.json"

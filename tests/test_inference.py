@@ -292,7 +292,9 @@ scm = gen_rscm(6, 2, Rng(3))
 order = minfill_order(moral_graph(scm.dag))
 try:
     factors = scm_factors(scm)
-    inf._prob(factors, inf._Buckets(scm.dag, order.sequence, factors), Evidence({}), width=0)
+    tree = inf._Buckets(scm.dag, order.sequence, factors)
+    tree.width = lambda cut=(): 0
+    tree.prob(factors, [Evidence({})])
 except InvariantError as e:
     print("ve:", e)
 inf.sum_out = lambda f, x: f  # messages keep every variable
@@ -502,7 +504,7 @@ def _reference_eliminate_all(factors, order):
 
 def _reference_ve(scm, factors, evidence, buckets, target, mode, cut=()):
     """Two full passes in the order of the bucket tree; its stored results
-    and its width are not read."""
+    and its width are not read, only its order and its method tag."""
     import ctwin.inference as inf
     from ctwin import EliminationOrder, mutilate
     from ctwin.elimination import eliminate
@@ -525,14 +527,14 @@ def _reference_ve(scm, factors, evidence, buckets, target, mode, cut=()):
     for v in both.assignments:
         if v in evidence.assignments and v in target.assignments:
             if evidence.assignments[v] != target.assignments[v]:
-                return inf.InferenceResult(0.0, prob(evidence), "ve")
+                return inf.InferenceResult(0.0, prob(evidence), buckets.method)
     p_both = prob(both)
     p_e = prob(evidence)
     if mode == "joint":
-        return inf.InferenceResult(p_both, p_e, "ve")
+        return inf.InferenceResult(p_both, p_e, buckets.method)
     if p_e <= 0.0:
         raise ZeroEvidenceError("evidence has probability zero")
-    return inf.InferenceResult(p_both / p_e, p_e, "ve")
+    return inf.InferenceResult(p_both / p_e, p_e, buckets.method)
 
 
 def _reference_propagate(sched, scm, factors, evidence, target, mode, cut=()):
@@ -609,7 +611,12 @@ def reference_two_pass(scm, q, engine):
 
     import ctwin.inference as inf
 
-    with mock.patch.multiple(inf, _ve=_reference_ve, _propagate=_reference_propagate):
+    def answer(plan, net, factors, evidence, target, mode, cut=()):
+        if isinstance(plan, inf._Buckets):
+            return _reference_ve(net, factors, evidence, plan, target, mode, cut)
+        return _reference_propagate(plan, net, factors, evidence, target, mode, cut)
+
+    with mock.patch.object(inf, "_answer", answer):
         return _hex_outcome(scm, q, engine)
 
 
@@ -861,7 +868,7 @@ def test_repeated_twin_query_recomputes_only_touched_nodes(monkeypatch):
     assert second < first, (first, second)
     for engine in ("jointree", "jointree-thinned"):
         first, second = count(engine), count(engine)
-        sched = layout.schedules[engine]
+        sched = layout.plans[engine]
         parents = layout.net.dag.parents
         touched = {leaf for child, leaves in sched.hosts.items() for leaf in leaves
                    if child in cut or not inputs.isdisjoint((child,) + parents[child])}
@@ -877,7 +884,7 @@ def test_repeated_twin_query_recomputes_only_touched_nodes(monkeypatch):
 def test_nworld_queries_store_no_bucket_result(monkeypatch):
     # the twin layout keeps its bucket tree and its clean results; an
     # N-world query, whether its roots are shared in part or its worlds
-    # number three, builds a tree that stores nothing, and its layout keeps none
+    # number three, builds its own tree, and its layout keeps no plan
     import ctwin.inference as inf
 
     trees = []
@@ -898,7 +905,47 @@ def test_nworld_queries_store_no_bucket_result(monkeypatch):
     for q in (twin, part, three, twin, part, three):
         counterfactual(scm, q, "ve")
     layout = scm._compiled[(2, twin.shared_roots)]
-    assert trees[0] is layout.buckets and layout.buckets.results
-    assert len(trees) == 5 and all(t.results == {} for t in trees[1:])
+    assert trees[0] is layout.plans["ve"] and layout.plans["ve"].results
+    assert len(trees) == 5
     for q in (part, three):
-        assert "buckets" not in vars(scm._compiled[(q.world_count, q.shared_roots)])
+        assert not scm._compiled[(q.world_count, q.shared_roots)].plans
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(("rNET", "rNET2", "rSCM", "rSCM2")), st.integers(2, 10), st.integers(1, 3),
+           st.integers(0, 10**6), st.sampled_from((1, 2, 3)), st.data())
+    def test_nworld_jointree_plans_match_those_of_the_mutilated_network(gen, n, param, seed, worlds, data):
+        # an N-world jointree plan is built on the network's parents with the
+        # cut families emptied; it must equal, node for node, the plan built
+        # from a whole mutilated copy of the network, and the layout keeps neither
+        import ctwin.inference as inf
+        from ctwin import mutilate
+        from ctwin.randgen import GENERATORS, Rng, parameterize
+        from ctwin.thinning import Structures
+        from ctwin.worlds import _point_masses
+
+        scm = parameterize(GENERATORS[gen](n, param, Rng(seed)), Rng(seed + 1))
+        roots = scm.dag.roots()
+        shared = roots if data.draw(st.booleans()) else [r for r in roots if data.draw(st.booleans())]
+        if worlds == 2 and len(shared) == len(roots):  # all roots shared in two worlds is the twin layout
+            shared = shared[1:]
+
+        def intervention():
+            chosen = data.draw(st.lists(st.sampled_from(scm.dag.nodes), max_size=3, unique=True))
+            return Evidence({v: data.draw(st.integers(0, 1)) for v in chosen})
+
+        q = CounterfactualQuery(worlds, frozenset(shared), (Evidence({}),) * worlds,
+                                tuple(intervention() for _ in range(worlds)), ())
+        layout, do, _, _ = inf._query_network(scm, q)
+        for engine in ("jointree", "jointree-thinned"):
+            plan = layout.plan(engine, _point_masses(layout.net, do))
+            s = Structures(mutilate(layout.net, do).dag, layout.order)
+            want = inf._schedule(s.separators if engine == "jointree" else s.thinned, engine)
+            assert (plan.hosts, plan.steps) == (want.hosts, want.steps), engine
+        assert not layout.twin and not layout.plans
+except ImportError:  # hypothesis is an optional test dependency
+    pass

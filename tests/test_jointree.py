@@ -36,8 +36,8 @@ def base_jointree(scm):
 
 def test_jointree_invariants(adder):
     jt = base_jointree(adder)
-    lf = jt.leaf_family()
-    nb = jt.neighbors()
+    lf = jt.leaf_family
+    nb = jt.neighbors
     # every leaf hosts exactly one family; hosts are leaves
     for leaf, child in lf.items():
         assert len(nb[leaf]) == 1
@@ -119,8 +119,8 @@ def test_twin_jointree_of_a_tree_listed_from_a_host_leaf(first):
 def test_classical_separators_definition(adder):
     jt = base_jointree(adder)
     sa = classical_separators(jt)
-    nb = jt.neighbors()
-    lf = jt.leaf_family()
+    nb = jt.neighbors
+    lf = jt.leaf_family
 
     def hosted_side(e, start):
         seen, stack = {start}, [start]
@@ -144,8 +144,8 @@ def test_classical_separators_definition(adder):
 def test_cluster_structure(adder):
     jt = base_jointree(adder)
     sa = classical_separators(jt)
-    nb = jt.neighbors()
-    lf = jt.leaf_family()
+    nb = jt.neighbors
+    lf = jt.leaf_family
     for v in jt.nodes:
         if v in lf:
             assert sa.clusters[v] == jt.families[lf[v]]
@@ -230,13 +230,13 @@ def reference_twin_jointree(jt, base):
     roots = set(base.roots())
     families = {v: frozenset((v,) + ps) for v, ps in _twin_structure(base)[1].items()}
     var_dup = {v: (v if v in roots else twin_name(v)) for v in base.nodes}
-    lf = jt.leaf_family()
+    lf = jt.leaf_family
     if all(child in roots for child in lf.values()):
         return replace(jt, edge_class={e: "invariant" for e in jt.edges}, duplicate_base={}, var_dup=var_dup)
     nodes = list(jt.nodes)
     edges = [edge_key(*e) for e in jt.edges]
     hosts = {c: list(hs) for c, hs in jt.hosts.items()}
-    nb = jt.neighbors()
+    nb = jt.neighbors
     if len(nodes) == 2:
         aux = "aux0"
         a, b = edges[0]
@@ -309,7 +309,7 @@ def test_twin_jointree_matches_the_self_rooting_reference(gen, n, param, seed, r
 def reference_classical_separators(jt):
     """The frozenset S_ij: hosted below times hosted above, the side above
     a node taken by OR-ing every other sibling, quadratic in degree."""
-    hosted = {leaf: jt.families[child] for leaf, child in jt.leaf_family().items()}
+    hosted = {leaf: jt.families[child] for leaf, child in jt.leaf_family.items()}
     order, parent = jt.rooting
     below = {}
     for v in reversed(order):
@@ -332,7 +332,7 @@ def reference_classical_separators(jt):
 
 def reference_assemble(jt, separators):
     """Frozenset clusters, width and normalized width of separators."""
-    lf, nb = jt.leaf_family(), jt.neighbors()
+    lf, nb = jt.leaf_family, jt.neighbors
     clusters = {}
     for v in jt.nodes:
         if v in lf:

@@ -80,12 +80,12 @@ def test_replication_adds_hosts_for_functional_vars():
 def test_replicate_leaves_its_input_tree_alone():
     for dag in (gate_dag(), random_scm(3, n=10, param=3).dag):
         jt = jointree_from_order(dag, minfill_order(moral_graph(dag)))
-        nb = {v: list(us) for v, us in jt.neighbors().items()}
-        lf = dict(jt.leaf_family())
+        nb = {v: list(us) for v, us in jt.neighbors.items()}
+        lf = dict(jt.leaf_family)
         rep = replicate(jt, dag, 10)
-        assert len(rep.leaf_family()) > len(lf)
-        assert jt.neighbors() == nb
-        assert jt.leaf_family() == lf
+        assert len(rep.leaf_family) > len(lf)
+        assert jt.neighbors == nb
+        assert jt.leaf_family == lf
 
 
 def test_replicate_rejects_negative_bound():
@@ -98,9 +98,9 @@ def test_replicate_rejects_negative_bound():
 def doubled_hosts(jt):
     """(node, family) for each node that neighbours two host leaves of
     one family."""
-    lf = jt.leaf_family()
+    lf = jt.leaf_family
     out = []
-    for v, us in jt.neighbors().items():
+    for v, us in jt.neighbors.items():
         families = [lf[u] for u in us if u in lf]
         out += [(v, f) for f in sorted(set(families)) if families.count(f) > 1]
     return out
@@ -111,10 +111,10 @@ def test_replicate_puts_one_host_of_a_family_next_to_a_node():
     # there for Y serves Z too, so Z gets none
     dag = Dag.of(["A", "X", "Y", "Z"], {"X": ("A",), "Y": ("X",), "Z": ("X",)})
     jt = jointree_from_order(dag, EliminationOrder(("A", "X", "Y", "Z")))
-    assert jt.neighbors()["c1"] == ["c0", "f_Y", "f_Z"]
+    assert jt.neighbors["c1"] == ["c0", "f_Y", "f_Z"]
     rep = replicate(jt, dag, 10, {"X"})
     assert rep.hosts["X"] == ("f_X", "r0_X")
-    assert rep.neighbors()["r0_X"] == ["c1"]
+    assert rep.neighbors["r0_X"] == ["c1"]
     assert doubled_hosts(rep) == []
 
 
@@ -211,8 +211,8 @@ def test_width_report_exposes_replication_blowup():
 def _regions(jt, separators, x):
     """x-regions by DFS: nodes joined by edges whose separator carries x,
     together with the leaves whose hosted families mention x."""
-    lf = jt.leaf_family()
-    nb = jt.neighbors()
+    lf = jt.leaf_family
+    nb = jt.neighbors
     members = {l for l, child in lf.items() if x in jt.families[child]}
     members |= {v for e, s in separators.items() if x in s for v in e}
     seen, out = set(), []
@@ -233,7 +233,7 @@ def _regions(jt, separators, x):
 
 def _anchored(jt, separators, x):
     """Every x-region that holds a leaf mentioning x holds a host of f_x."""
-    lf = jt.leaf_family()
+    lf = jt.leaf_family
     hosts = set(jt.hosts.get(x, ()))
     return all(
         region & hosts
@@ -273,7 +273,7 @@ def test_thin_replays_stays_anchored_and_is_a_fixpoint(case):
         assert _anchored(rep, seps, x), x
 
     # (c) no functional (x, e) left passes rule 1 or rule 2 and the guard
-    nb = rep.neighbors()
+    nb = rep.neighbors
     for e, s in seps.items():
         for x in s & functional:
             rest = {f: t - {x} if f == e else t for f, t in seps.items()}

@@ -39,8 +39,9 @@ def test_modules_use_every_name_they_import():
 
 
 def test_every_private_function_is_used():
-    """A module-level `_helper` that nothing in the package reads is dead
-    code left behind by a refactor."""
+    """A module-level `_helper` or `_Class`, or a method of a private class,
+    that nothing in the package reads is dead code left behind by a
+    refactor."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     used = set()
@@ -50,11 +51,14 @@ def test_every_private_function_is_used():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    found = [
-        f"{name}:{node.lineno} {node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_") and not node.name.startswith("__") and node.name not in used
-    ]
-    assert not found, f"unused private functions in src/ctwin: {found}"
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*funcs, ast.ClassDef)) or not node.name.startswith("_") \
+                    or node.name.startswith("__"):
+                continue
+            methods = [m for m in node.body if isinstance(m, funcs) and not m.name.startswith("__")] \
+                if isinstance(node, ast.ClassDef) else []
+            found += [f"{name}:{n.lineno} {n.name}" for n in (node, *methods) if n.name not in used]
+    assert not found, f"unused private functions, classes or methods in src/ctwin: {found}"
