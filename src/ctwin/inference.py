@@ -407,18 +407,14 @@ class _Layout:
     layout (world count, shared roots) of an Scm: the unmutilated world
     network and its factors, the `Structures` of the base minfill order,
     the lifted order and, in the twin case, the plan of each engine. Each
-    part is built when first read. It holds no reference to the Scm that
-    owns it."""
+    part is built when first read. It holds no reference to the Scm."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
         self.dag = scm.dag
         self.world_count = world_count
         self.shared_roots = shared_roots
         self.twin = world_count == 2 and shared_roots == frozenset(scm.dag.roots())
-        if self.twin:
-            self.net, self.wmap = twin_network(scm)
-        else:
-            self.net, self.wmap = n_world_network(scm, shared_roots, world_count)
+        self.net, self.wmap = twin_network(scm) if self.twin else n_world_network(scm, shared_roots, world_count)
         self.plans: dict[str, _Buckets | _Schedule] = {}  # engine -> its twin plan
 
     @cached_property
@@ -455,9 +451,7 @@ class _Layout:
         A twin plan stays valid after mutilation, since families only
         shrink, so it is built once and kept, with the bucket results or
         messages that no query input reaches; of the parts it is built
-        from, only the base jointree is kept. An N-world plan lives only
-        as long as its query: an Scm often answers a single N-world query,
-        and whatever its layout kept would stay alive with the Scm."""
+        from, only the base jointree is kept."""
         if engine in self.plans:
             return self.plans[engine]
         thinned = engine == "jointree-thinned"
@@ -481,12 +475,16 @@ class _Layout:
 
 
 def _query_network(scm: Scm, q: CounterfactualQuery):
-    """The compiled layout of q, and q's interventions, evidence and
-    target in network ids."""
+    """The layout of q, and q's interventions, evidence and target in
+    network ids. Only the twin layout is kept, in scm._compiled, for later
+    queries; any other is built for its query and goes with it, since what
+    it kept would live as long as the Scm and rarely serve again."""
     key = (q.world_count, frozenset(q.shared_roots))
     layout = scm._compiled.get(key)
     if layout is None:
-        layout = scm._compiled[key] = _Layout(scm, *key)
+        layout = _Layout(scm, *key)
+        if layout.twin:
+            scm._compiled[key] = layout
     wmap = layout.wmap
     do = {}
     for w, ev in enumerate(q.interventions, start=1):
@@ -523,11 +521,9 @@ def counterfactual(scm: Scm, q: CounterfactualQuery, engine: str = "ve") -> Infe
     minfill order; "jointree" and "jointree-thinned" lift the base
     jointree through the twin jointree construction when N=2 with all
     roots shared, and otherwise build a jointree from the lifted order;
-    "oracle" enumerates exogenous states. What does not depend on the
-    query (world network, orders, and on twin layouts each engine's plan
-    with the bucket results and messages that no query input reaches) is
-    compiled once per Scm and world layout. A query cuts the intervened
-    families, maps its evidence and answers on its engine's plan."""
+    "oracle" enumerates exogenous states. A query cuts the intervened
+    families, maps its evidence and answers on its engine's plan, which
+    on the twin layout is compiled once (see `_query_network`)."""
     if engine == "oracle":
         return brute_force_counterfactual(scm, q)
     layout, do, obs, tgt = _query_network(scm, q)

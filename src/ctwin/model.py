@@ -120,9 +120,8 @@ class Scm:
     the listed parent order, last parent fastest).
 
     An Scm is immutable after construction: its dicts must not be changed.
-    Counterfactual queries rely on this, since they compile each world
-    layout's network, orders and jointrees once into `_compiled` (keyed by
-    world count and shared roots) and reuse them for later queries.
+    Counterfactual queries rely on this, since they compile the twin
+    layout's network, order and plans once into `_compiled` and reuse them.
     """
 
     dag: Dag
@@ -255,7 +254,10 @@ def network_from_dict(doc) -> Scm:
             if not isinstance(dist, list) or not all(
                     isinstance(x, (int, float)) and not isinstance(x, bool) for x in dist):
                 raise ModelError(f"{vid}: dist must be an array of numbers, got {dist!r}")
-            table = tuple(float(x) for x in dist)
+            try:
+                table = tuple(float(x) for x in dist)
+            except OverflowError:  # an integer beyond the float range
+                raise ModelError(f"{vid}: dist has an entry too large for a float") from None
             if len(table) != cards[vid]:
                 raise ModelError(f"{vid}: dist length != number of states")
             if not all(map(isfinite, table)):

@@ -293,6 +293,8 @@ _CHILD = {"id": "B", "states": ["s0", "s1"], "parents": ["A"], "cpt": [1, 0]}
                  id="functional-str-internal"),
     pytest.param({"variables": [dict(_ROOT, dist=[float("nan"), 1.0]), _CHILD]}, "A: dist has a non-finite entry",
                  id="dist-nan"),
+    pytest.param({"variables": [dict(_ROOT, dist=[10**400, 0]), _CHILD]}, "A: dist has an entry too large for a float",
+                 id="dist-overflow"),
 ])
 def test_cli_malformed_network_exit_one(tmp_path, capsys, net, message):
     path = tmp_path / "net.json"
@@ -303,6 +305,94 @@ def test_cli_malformed_network_exit_one(tmp_path, capsys, net, message):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    _JSON = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                      st.builds(list), st.builds(dict))
+
+    @st.composite
+    def malformed_networks(draw):
+        """A valid two-variable network (A -> B) with one change that makes
+        it invalid, and any number of unknown fields, which the loader
+        ignores."""
+        doc = {"variables": [dict(_ROOT), dict(_CHILD)]}
+        root, child = doc["variables"]
+        pick = draw(st.sampled_from(("type", "huge", "negative", "non-finite", "missing", "parents", "shape")))
+        if pick == "type":
+            field, bad = draw(st.sampled_from((
+                ("id", st.one_of(st.integers(), st.none(), st.booleans(), st.just(["A"]),
+                                 st.sampled_from(("", "1x", "a b")))),
+                ("states", st.one_of(st.text(max_size=3), st.integers(), st.none(), st.builds(dict), st.builds(list))),
+                ("parents", st.one_of(st.text(max_size=3), st.integers(), st.builds(dict),
+                                      st.lists(st.integers(), min_size=1))),
+                ("functional", st.one_of(st.integers(), st.text(max_size=3), st.none(), st.builds(list))),
+                ("dist", st.one_of(st.text(max_size=3), st.integers(), st.none(), st.builds(dict),
+                                   st.just([0.5, "0.5"]), st.just([0.5, None]), st.just([True, False]))),
+                ("cpt", st.one_of(st.text(max_size=3), st.floats(), st.none(), st.builds(dict),
+                                  st.just([1.0, 0]), st.just([True, False]), st.just(["1", 0]))),
+            )))
+            var = child if field == "cpt" else root if field == "dist" else draw(st.sampled_from((root, child)))
+            var[field] = draw(bad)
+        elif pick in ("huge", "negative", "non-finite"):
+            beyond_float = st.integers(309, 1000).map(lambda k: 10**k)
+            number = {"huge": beyond_float | beyond_float.map(int.__neg__) | st.floats(1e300, 1e308),
+                      "negative": st.integers(max_value=-1) | st.floats(max_value=-1e-300, allow_infinity=False),
+                      "non-finite": st.sampled_from((float("nan"), float("inf"), float("-inf")))}[pick]
+            var = draw(st.sampled_from((root, child)))
+            key = "dist" if var is root else "cpt"
+            var[key] = list(var[key])
+            var[key][draw(st.integers(0, 1))] = draw(number)
+        elif pick == "missing":
+            owner, field = draw(st.sampled_from(((doc, "variables"), (root, "id"), (root, "states"), (root, "dist"),
+                                                 (child, "id"), (child, "states"), (child, "parents"), (child, "cpt"))))
+            del owner[field]
+        elif pick == "parents":
+            var, parents = draw(st.sampled_from(((child, ["C"]), (child, ["B"]), (child, ["A", "A"]),
+                                                 (root, ["B"]), (root, ["A"]))))
+            var["parents"] = parents
+        else:  # the wrong top level, entry or table shape, or a duplicate id
+            change = draw(st.sampled_from(("top", "entry", "dist", "cpt", "both", "duplicate")))
+            if change == "top":
+                doc = draw(st.one_of(st.lists(_JSON, max_size=2), _JSON))
+            elif change == "entry":
+                doc["variables"][draw(st.integers(0, 1))] = draw(_JSON)
+            elif change == "dist":
+                root["dist"] = draw(st.sampled_from(([1.0], [0.25, 0.25, 0.5], [])))
+            elif change == "cpt":
+                child["cpt"] = draw(st.sampled_from(([1], [1, 0, 1], [])))
+            elif change == "both":  # a dist and a cpt on one variable
+                var = draw(st.sampled_from((root, child)))
+                var["dist"], var["cpt"] = [0.5, 0.5], [1, 0]
+            else:
+                child["id"] = "A"
+        if isinstance(doc, dict):
+            for owner in [doc] + [v for v in doc.get("variables", ()) if isinstance(v, dict)]:
+                for _ in range(draw(st.integers(0, 2))):
+                    owner["x_" + draw(st.text("abc", max_size=3))] = draw(_JSON)
+        return doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_networks())
+    def test_cli_fuzzed_network_exit_one(tmp_path_factory, doc):
+        # every mutant of a valid network is invalid: the CLI must say so in
+        # one error line and exit 1, never with a traceback or an exit 0
+        import contextlib
+        import io
+
+        path = tmp_path_factory.getbasetemp() / "fuzzed-net.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["jointree", "--net", str(path)])
+        lines = err.getvalue().splitlines()
+        assert (rc, out.getvalue()) == (1, ""), (doc, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
+except ImportError:  # hypothesis is an optional test dependency
+    pass
 
 
 VALID_QUERY = {"worlds": 2, "observations": [{"v1": 0}, {}], "interventions": [{}, {"v0": 1}],

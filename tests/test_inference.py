@@ -383,12 +383,13 @@ try:
     def test_compiled_layouts_answer_like_a_fresh_scm(stream):
         # one Scm answers a mix of layouts, interventions and engines; each
         # answer must equal, bit for bit, that of a rebuilt Scm with nothing
-        # compiled yet
+        # compiled yet, and the Scm keeps no layout but the twin one
         scm, queries = stream
         for q, engine in queries:
             if engine == "oracle" and _exogenous_space(scm, q) > 1 << 12:
                 engine = "ve"
             assert _outcome(scm, q, engine) == _outcome(_rebuilt(scm), q, engine), engine
+        assert scm._compiled.keys() <= {(2, frozenset(scm.dag.roots()))}
 except ImportError:  # hypothesis is an optional test dependency
     pass
 
@@ -884,7 +885,7 @@ def test_repeated_twin_query_recomputes_only_touched_nodes(monkeypatch):
 def test_nworld_queries_store_no_bucket_result(monkeypatch):
     # the twin layout keeps its bucket tree and its clean results; an
     # N-world query, whether its roots are shared in part or its worlds
-    # number three, builds its own tree, and its layout keeps no plan
+    # number three, builds its own layout and tree, and the Scm keeps neither
     import ctwin.inference as inf
 
     trees = []
@@ -908,7 +909,8 @@ def test_nworld_queries_store_no_bucket_result(monkeypatch):
     assert trees[0] is layout.plans["ve"] and layout.plans["ve"].results
     assert len(trees) == 5
     for q in (part, three):
-        assert not scm._compiled[(q.world_count, q.shared_roots)].plans
+        assert (q.world_count, q.shared_roots) not in scm._compiled
+    assert scm._compiled.keys() == {(2, twin.shared_roots)}
 
 
 try:
