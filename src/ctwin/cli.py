@@ -85,6 +85,8 @@ def cmd_mutilate(a):
 
 
 def cmd_order(a):
+    if a.lift != "nworld" and {"worlds", "shared"} & vars(a).keys():
+        raise ModelError("--worlds and --shared need --lift nworld")
     scm = load_network(a.net)
     order = minfill_order(moral_graph(scm.dag))
     doc = {"sequence": list(order.sequence),
@@ -93,9 +95,9 @@ def cmd_order(a):
         if a.lift == "twin":
             lifted, net = twin_order(order, scm.dag), twin_dag(scm.dag)
         else:
-            shared = _shared(scm, a.shared)
-            lifted = n_world_order(order, scm.dag, shared, a.worlds)
-            net = n_world_network(scm, shared, a.worlds)[0].dag
+            shared, worlds = _shared(scm, getattr(a, "shared", "all")), getattr(a, "worlds", 2)
+            lifted = n_world_order(order, scm.dag, shared, worlds)
+            net = n_world_network(scm, shared, worlds)[0].dag
         doc["lifted"] = {"sequence": list(lifted.sequence), "width": eliminate(moral_graph(net), lifted).width}
     _emit(doc, a.out)
 
@@ -193,10 +195,12 @@ def cmd_audit(a):
 
 
 def cmd_treewidth(a):
+    if "node_limit" in vars(a) and not a.exact:
+        raise ModelError("--node-limit needs --exact")
     scm = load_network(a.net)
     g = moral_graph(scm.dag)
     if a.exact:
-        doc = {"treewidth": exact_treewidth(g, a.node_limit), "exact": True}
+        doc = {"treewidth": exact_treewidth(g, getattr(a, "node_limit", 12)), "exact": True}
     else:
         doc = {"treewidth": eliminate(g, minfill_order(g)).width, "exact": False}
     _emit(doc, a.out)
@@ -232,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="minfill order, optionally lifted")
     p.add_argument("--net", required=True)
     p.add_argument("--lift", choices=("twin", "nworld"), default=None)
-    p.add_argument("--worlds", type=int, default=2)
-    p.add_argument("--shared", default="all")
+    p.add_argument("--worlds", type=int, default=argparse.SUPPRESS, help="with --lift nworld (default 2)")
+    p.add_argument("--shared", default=argparse.SUPPRESS, help="with --lift nworld (default all)")
     p.set_defaults(fn=cmd_order)
 
     p = sub.add_parser("jointree", help="jointree from the minfill order")
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("treewidth", help="treewidth (exact or minfill upper bound)")
     p.add_argument("--net", required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--node-limit", type=int, default=12)
+    p.add_argument("--node-limit", type=int, default=argparse.SUPPRESS, help="with --exact (default 12)")
     p.set_defaults(fn=cmd_treewidth)
 
     for p in sub.choices.values():

@@ -16,7 +16,7 @@ from .elimination import EliminationOrder, _family_adjacency, _replay, minfill_o
 from .jointree import Jointree, SeparatorAssignment, classical_separators, edge_key
 from .model import Dag, Evidence, Factor, InvariantError, ModelError, Scm, scm_factors
 from .thinning import Structures
-from .worlds import _point_masses, moral_graph, mutilate, n_world_network, twin_network
+from .worlds import _check_states, _point_masses, moral_graph, mutilate, n_world_network, twin_network
 
 
 class ZeroEvidenceError(ModelError):
@@ -93,14 +93,6 @@ def factor_value(f: Factor) -> float:
 
 
 # ---------------------------------------------------------------- VE
-
-def _check_states(scm: Scm, e: Evidence):
-    for v, s in e.items():
-        if v not in scm.variables:
-            raise ModelError(f"unknown variable {v!r}")
-        if not (0 <= s < scm.card(v)):
-            raise ModelError(f"state {s} out of range for {v!r}")
-
 
 def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
@@ -342,8 +334,6 @@ class _Schedule:
                 for u in children:
                     m = msg.pop(u) if u in changed else msg[u]
                     f = m if f is None else multiply(f, m)
-                if f is None:
-                    f = Factor.unit()
                 for x in f.scope:
                     if x not in sep or x in e.assignments:
                         f = sum_out(f, x)
@@ -405,9 +395,9 @@ def _answer(plan: _Buckets | _Schedule, net: Scm, factors: list[Factor], evidenc
 class _Layout:
     """The query-independent part of counterfactual queries on one world
     layout (world count, shared roots) of an Scm: the unmutilated world
-    network and its factors, the `Structures` of the base minfill order,
-    the lifted order and, in the twin case, the plan of each engine. Each
-    part is built when first read. It holds no reference to the Scm."""
+    network and its factors, the base minfill order, the lifted order and,
+    in the twin case, the plan of each engine. Each part is built when
+    first read. It holds no reference to the Scm."""
 
     def __init__(self, scm: Scm, world_count: int, shared_roots: frozenset[str]):
         self.dag = scm.dag
@@ -431,14 +421,14 @@ class _Layout:
                 for v, f in zip(self.net.dag.nodes, self.factors)]
 
     @cached_property
-    def structures(self) -> Structures:
-        return Structures(self.dag, minfill_order(moral_graph(self.dag)))
+    def base_order(self) -> EliminationOrder:
+        return minfill_order(moral_graph(self.dag))
 
     @cached_property
     def order(self) -> EliminationOrder:
         if self.twin:
-            return twin_order(self.structures.order, self.dag)
-        return n_world_order(self.structures.order, self.dag, self.shared_roots, self.world_count)
+            return twin_order(self.base_order, self.dag)
+        return n_world_order(self.base_order, self.dag, self.shared_roots, self.world_count)
 
     def plan(self, engine: str, cut) -> _Buckets | _Schedule:
         """What the engine runs a query on whose interventions cut the
@@ -450,8 +440,8 @@ class _Layout:
 
         A twin plan stays valid after mutilation, since families only
         shrink, so it is built once and kept, with the bucket results or
-        messages that no query input reaches; of the parts it is built
-        from, only the base jointree is kept."""
+        messages that no query input reaches. A jointree plan is built
+        from a `Structures` that lives only for this call."""
         if engine in self.plans:
             return self.plans[engine]
         thinned = engine == "jointree-thinned"
@@ -461,7 +451,7 @@ class _Layout:
         elif engine not in ("jointree", "jointree-thinned"):
             raise ModelError(f"unknown engine {engine!r}")
         elif self.twin:
-            s = self.structures
+            s = Structures(self.dag, self.base_order)
             plan = _schedule(s.thinned_twin if thinned else s.twin_separators, engine)
         else:
             dag = self.net.dag
@@ -469,8 +459,6 @@ class _Layout:
             plan = _schedule(s.thinned if thinned else s.separators, engine)
         if self.twin:
             self.plans[engine] = plan
-            for part in ("separators", "twin_separators", "thinned", "thinned_twin"):
-                vars(self.structures).pop(part, None)
         return plan
 
 
@@ -485,25 +473,24 @@ def _query_network(scm: Scm, q: CounterfactualQuery):
         layout = _Layout(scm, *key)
         if layout.twin:
             scm._compiled[key] = layout
+    do, obs = ([(w, v, s) for w, ev in enumerate(sets, start=1) for v, s in ev.items()]
+               for sets in (q.interventions, q.observations))
     wmap = layout.wmap
-    do = {}
-    for w, ev in enumerate(q.interventions, start=1):
-        for v, s in ev.items():
-            do[wmap.lookup(v, w)] = s
-    obs = {}
-    for w, ev in enumerate(q.observations, start=1):
-        for v, s in ev.items():
-            nid = wmap.lookup(v, w)
-            if obs.get(nid, s) != s:
-                raise ModelError(f"conflicting observations on {nid!r}")
-            obs[nid] = s
-    tgt = {}
-    for w, v, s in q.target:
+    return (layout, _map(wmap, do, "interventions"), _map(wmap, obs, "observations"),
+            _map(wmap, q.target, "target states"))
+
+
+def _map(wmap, entries, what: str) -> Evidence:
+    """(world, variable, state) entries as evidence on network ids. A
+    shared variable is one id in every world, so two entries that give it
+    different states conflict."""
+    out = {}
+    for w, v, s in entries:
         nid = wmap.lookup(v, w)
-        if tgt.get(nid, s) != s:
-            raise ModelError(f"conflicting target states on {nid!r}")
-        tgt[nid] = s
-    return layout, Evidence(do), Evidence(obs), Evidence(tgt)
+        if out.get(nid, s) != s:
+            raise ModelError(f"conflicting {what} on {nid!r}")
+        out[nid] = s
+    return Evidence(out)
 
 
 def build_query_network(scm: Scm, q: CounterfactualQuery):

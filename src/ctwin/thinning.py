@@ -186,11 +186,9 @@ def _thin_variable(x: str, edges: list, hosts: set, mention: set) -> list[tuple]
         edges = keep
 
 
-def thinned_twin_separators(base: SeparatorAssignment, twin_jt: Jointree) -> SeparatorAssignment:
-    """Thm-3 lifting: thinned base separators carry over to the twin
-    jointree by the duplicated/duplicate/invariant edge rules, and so
-    does the log."""
-    return twin_separators_direct(base, twin_jt)
+# Thm-3 lifting: thinned base separators carry over to the twin jointree by
+# the same duplicated/duplicate/invariant edge rules as Thm 2, and so does the log.
+thinned_twin_separators = twin_separators_direct
 
 
 class Structures:

@@ -172,17 +172,20 @@ def generalized_n_world(dag: Dag, duplicated, n_worlds: int, cross_edges=()) -> 
     return Dag(tuple(nid for _, _, nid in nodes), parents)
 
 
+def _check_states(scm: Scm, e: Evidence, what: str = ""):
+    """Raise unless every variable of e is in scm with a state in range;
+    what prefixes "variable" and "state" in the message."""
+    for v, s in e.items():
+        if v not in scm.variables:
+            raise ModelError(f"unknown {what}variable {v!r}")
+        if not (0 <= s < scm.card(v)):
+            raise ModelError(f"{what}state {s} out of range for {v!r}")
+
+
 def _point_masses(scm: Scm, interventions: Evidence) -> dict[str, tuple[float, ...]]:
     """The table that fixes each intervened variable in its state."""
-    out = {}
-    for v, state in interventions.items():
-        if v not in scm.variables:
-            raise ModelError(f"unknown intervened variable {v!r}")
-        card = scm.card(v)
-        if not (0 <= state < card):
-            raise ModelError(f"intervened state {state} out of range for {v!r}")
-        out[v] = tuple(1.0 if s == state else 0.0 for s in range(card))
-    return out
+    _check_states(scm, interventions, "intervened ")
+    return {v: tuple(float(s == state) for s in range(scm.card(v))) for v, state in interventions.items()}
 
 
 def mutilate(scm: Scm, interventions: Evidence) -> Scm:

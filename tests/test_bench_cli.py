@@ -247,6 +247,39 @@ def test_cli_seed_and_workers_where_read(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# A bad argument value, or a flag given outside the mode that reads it, is an
+# input error: exit 1 with one error line.
+BAD_ARGUMENTS = {
+    "mutilate-no-equals": (["mutilate", "--net", "NET", "--do", "v3"], "bad assignment 'v3'; use VAR=STATE_INDEX"),
+    "bench-zero-reps": (["bench", "--generator", "rNET", "--n", "6", "--param", "2", "--reps", "0"],
+                        "reps must be >= 1"),
+    "nworld-zero-worlds": (["nworld", "--net", "NET", "--worlds", "0"], "world count must be >= 1"),
+    "order-worlds-unlifted": (["order", "--net", "NET", "--worlds", "3"], "--worlds and --shared need --lift nworld"),
+    "order-shared-twin": (["order", "--net", "NET", "--lift", "twin", "--shared", "all"],
+                          "--worlds and --shared need --lift nworld"),
+    "treewidth-node-limit-inexact": (["treewidth", "--net", "NET", "--node-limit", "30"],
+                                     "--node-limit needs --exact"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_cli_bad_argument_exit_one(tmp_path, capsys, argv, message):
+    net = str(tmp_path / "net.json")
+    assert main(["gen", "--n", "6", "--param", "2", "--seed", "3", "--out", net]) == 0
+    rc = main([net if a == "NET" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_mode_flags_where_read(tmp_path, capsys):
+    net, out = str(tmp_path / "net.json"), str(tmp_path / "out")
+    assert main(["gen", "--n", "6", "--param", "2", "--seed", "3", "--out", net]) == 0
+    assert main(["order", "--net", net, "--lift", "nworld", "--worlds", "3", "--shared", "all", "--out", out]) == 0
+    assert main(["treewidth", "--net", net, "--exact", "--node-limit", "30", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_bool_cpt_entry_exit_one(tmp_path, capsys):
     net = {"variables": [
         {"id": "A", "states": ["s0", "s1"], "parents": [], "dist": [0.5, 0.5]},
@@ -295,6 +328,14 @@ _CHILD = {"id": "B", "states": ["s0", "s1"], "parents": ["A"], "cpt": [1, 0]}
                  id="dist-nan"),
     pytest.param({"variables": [dict(_ROOT, dist=[10**400, 0]), _CHILD]}, "A: dist has an entry too large for a float",
                  id="dist-overflow"),
+    pytest.param({"variables": [{k: v for k, v in _ROOT.items() if k != "dist"} | {"cpt": [0, 1]}, _CHILD]},
+                 "A: root variable needs 'dist'", id="root-cpt"),
+    pytest.param({"variables": [_ROOT, {k: v for k, v in _CHILD.items() if k != "cpt"} | {"dist": [0.5, 0.5]}]},
+                 "B: internal variable needs 'cpt'", id="internal-dist"),
+    pytest.param({"variables": [dict(_ROOT, dist=[0.25, 0.25, 0.5]), _CHILD]}, "A: dist length != number of states",
+                 id="dist-length"),
+    pytest.param({"variables": [_ROOT, dict(_CHILD, functional=False)]}, "B: internal SCM variable must be functional",
+                 id="internal-not-functional"),
 ])
 def test_cli_malformed_network_exit_one(tmp_path, capsys, net, message):
     path = tmp_path / "net.json"
@@ -400,17 +441,19 @@ VALID_QUERY = {"worlds": 2, "observations": [{"v1": 0}, {}], "interventions": [{
 
 
 @pytest.mark.parametrize("query, message", [
-    pytest.param(dict(VALID_QUERY, target=5), "target must be an array of [world, variable, state] triples", id="target-int"),
-    pytest.param([1], "top-level object required", id="top-level-array"),
-    pytest.param(dict(VALID_QUERY, observations=[{"v1": "a"}, {}]), "state of v1 'a' is not an integer", id="state-str"),
-    pytest.param(dict(VALID_QUERY, observations=[{"v1": 0.5}, {}]), "state of v1 0.5 is not an integer", id="state-float"),
-    pytest.param(dict(VALID_QUERY, observations=[{"v1": True}, {}]), "state of v1 True is not an integer", id="state-bool"),
-    pytest.param(dict(VALID_QUERY, target=[[2, "v5", 1.5]]), "target state 1.5 is not an integer", id="target-state-float"),
-    pytest.param(dict(VALID_QUERY, target=[[True, "v5", 1]]), "target world True is not an integer", id="target-world-bool"),
-    pytest.param(dict(VALID_QUERY, target=[[2, "v5"]]), "target must be an array of [world, variable, state] triples", id="target-pair"),
-    pytest.param(dict(VALID_QUERY, worlds="2"), "worlds '2' is not an integer", id="worlds-str"),
-    pytest.param(dict(VALID_QUERY, shared_roots=5), 'shared_roots must be "all" or an array of ids', id="shared-roots-int"),
-    pytest.param(dict(VALID_QUERY, interventions={"v0": 1}), "interventions must be an array of objects", id="interventions-object"),
+    pytest.param(dict(VALID_QUERY, target=5), "query: target must be an array of [world, variable, state] triples", id="target-int"),
+    pytest.param([1], "query: top-level object required", id="top-level-array"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": "a"}, {}]), "query: state of v1 'a' is not an integer", id="state-str"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": 0.5}, {}]), "query: state of v1 0.5 is not an integer", id="state-float"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": True}, {}]), "query: state of v1 True is not an integer", id="state-bool"),
+    pytest.param(dict(VALID_QUERY, target=[[2, "v5", 1.5]]), "query: target state 1.5 is not an integer", id="target-state-float"),
+    pytest.param(dict(VALID_QUERY, target=[[True, "v5", 1]]), "query: target world True is not an integer", id="target-world-bool"),
+    pytest.param(dict(VALID_QUERY, target=[[2, "v5"]]), "query: target must be an array of [world, variable, state] triples", id="target-pair"),
+    pytest.param(dict(VALID_QUERY, worlds="2"), "query: worlds '2' is not an integer", id="worlds-str"),
+    pytest.param(dict(VALID_QUERY, shared_roots=5), 'query: shared_roots must be "all" or an array of ids', id="shared-roots-int"),
+    pytest.param(dict(VALID_QUERY, interventions={"v0": 1}), "query: interventions must be an array of objects", id="interventions-object"),
+    pytest.param(dict(VALID_QUERY, observations=[{"v1": 0}]), "need one observation/intervention set per world",
+                 id="observations-short"),
 ])
 def test_cli_infer_malformed_query_exit_one(tmp_path, capsys, query, message):
     net = tmp_path / "net.json"
@@ -424,7 +467,7 @@ def test_cli_infer_malformed_query_exit_one(tmp_path, capsys, query, message):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: query: {message}"]
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_invariant_error_exit_two(tmp_path, capsys, monkeypatch):

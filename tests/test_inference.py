@@ -235,6 +235,26 @@ def test_conflicting_observations_rejected(adder):
         build_query_network(adder, q)
 
 
+@pytest.mark.parametrize("worlds", (2, 3))
+def test_conflicting_interventions_on_a_shared_root_rejected(worlds):
+    # a shared root is one variable in every world, so fixing it to two
+    # states contradicts itself, as two such observations do; one state in
+    # two worlds is the same query as that state in one
+    from ctwin.randgen import Rng, gen_rscm
+
+    scm = gen_rscm(5, 2, Rng(3))
+
+    def query(*dos):
+        dos += ({},) * (worlds - len(dos))
+        return CounterfactualQuery(worlds, frozenset(scm.dag.roots()), (Evidence({}),) * worlds,
+                                   tuple(map(Evidence, dos)), ((1, "v2", 0),))
+
+    for engine in ENGINES:
+        with pytest.raises(ModelError, match="conflicting interventions on 'v0'"):
+            counterfactual(scm, query({"v0": 0}, {"v0": 1}), engine)
+        assert counterfactual(scm, query({"v0": 0}, {"v0": 0}), engine) == counterfactual(scm, query({"v0": 0}), engine)
+
+
 def test_query_validation(adder):
     with pytest.raises(ModelError):
         CounterfactualQuery(0, frozenset(), (), (), ())
@@ -341,7 +361,12 @@ def _outcome(scm, q, engine):
 
 
 def _exogenous_space(scm, q):
-    net, _, _, _ = build_query_network(_rebuilt(scm), q)
+    """The root states of q's network; 0 when q is rejected before any
+    engine runs (conflicting interventions on a shared root)."""
+    try:
+        net, _, _, _ = build_query_network(_rebuilt(scm), q)
+    except ModelError:
+        return 0
     return math.prod(net.card(r) for r in net.dag.roots())
 
 
@@ -413,8 +438,9 @@ def test_failed_query_leaves_later_answers_unchanged(adder):
 def test_second_query_reuses_the_compiled_layout(monkeypatch):
     import ctwin.inference as inf
     import ctwin.thinning as thinning
+    from ctwin.thinning import Structures
 
-    # minfill runs in the layout; the jointree chain runs in its Structures
+    # minfill runs in the layout; the jointree chain in each plan's own Structures
     owners = {"minfill_order": inf, "jointree_from_order": thinning, "make_twin_jointree": thinning,
               "replicate": thinning, "thin": thinning}
     calls = dict.fromkeys(owners, 0)
@@ -441,20 +467,19 @@ def test_second_query_reuses_the_compiled_layout(monkeypatch):
     counterfactual(scm, other, "jointree")
     counterfactual(scm, other, "ve")
     assert calls == expect(1, 1, 1, 0)
-    # the thinned engine replicates and thins the layout's base jointree once
+    # the thinned plan builds its own base jointree, then replicates and thins it once
     counterfactual(scm, q, "jointree-thinned")
-    assert calls == expect(1, 1, 2, 1)
+    assert calls == expect(1, 2, 2, 1)
     counterfactual(scm, other, "jointree-thinned")
-    assert calls == expect(1, 1, 2, 1)
-    # the schedules hold what they need; of the parts only the base jointree stays
-    parts = vars(scm._compiled[(2, q.shared_roots)].structures)
-    assert "jointree" in parts and parts.keys().isdisjoint(
-        {"separators", "twin_separators", "thinned", "thinned_twin"})
+    assert calls == expect(1, 2, 2, 1)
+    # the plans hold what they need; the layout keeps nothing they were built from
+    layout = scm._compiled[(2, q.shared_roots)]
+    assert not any(isinstance(part, Structures) for part in vars(layout).values())
 
     fresh = random_scm(5, n=8, param=2)
     counterfactual(fresh, q, "ve")
     counterfactual(fresh, other, "ve")
-    assert calls["minfill_order"] == 2 and calls["jointree_from_order"] == 1
+    assert calls["minfill_order"] == 2 and calls["jointree_from_order"] == 2
 
 
 def _twin_query(scm):
@@ -942,6 +967,11 @@ try:
 
         q = CounterfactualQuery(worlds, frozenset(shared), (Evidence({}),) * worlds,
                                 tuple(intervention() for _ in range(worlds)), ())
+        fixed = {(v, s) for ev in q.interventions for v, s in ev.items() if v in shared}
+        if len(fixed) > len({v for v, _ in fixed}):  # a shared root fixed to two states
+            with pytest.raises(ModelError, match="conflicting interventions"):
+                inf._query_network(scm, q)
+            return
         layout, do, _, _ = inf._query_network(scm, q)
         for engine in ("jointree", "jointree-thinned"):
             plan = layout.plan(engine, _point_masses(layout.net, do))
